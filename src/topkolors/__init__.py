@@ -36,7 +36,7 @@ from .model import (
     prank,
 )
 from .online import ColorStream, open_stream
-from .optimal import OptimalParams, OptimalTopK, two_list_union
+from .optimal import OptimalTopK, two_list_union
 from .snapshot import load_index, save_index
 from .sparse import SparseTopK
 from .wavelet import WaveletTopK
@@ -56,7 +56,6 @@ __all__ = [
     "InvalidRange",
     "KindMismatch",
     "MissingPriority",
-    "OptimalParams",
     "OptimalTopK",
     "OutOfBounds",
     "OverlappingRanges",

@@ -2,7 +2,7 @@
 
 The array splits into chunks whose length depends on how the alphabet
 compares to the array: sigma^3 when sigma^2 >= floor(log2 N) (each chunk
-then carries the recursive index over locally remapped ranks), otherwise
+then carries an f=2 sparse index over locally remapped ranks), otherwise
 sigma^2 * floor(log2 N) (chunks subdivide into pieces of ceil(log_sigma N)
 positions packed into machine words, answered via a memoized table, with a
 per-chunk piece summary for the spans between pieces).
@@ -27,18 +27,37 @@ import numpy as np
 
 from .errors import BadParameter
 from .model import ColorArray, ColorList, QuerySpec, check_range
-from .optimal import OptimalParams, OptimalTopK, _merge_ranks
 from .sparse import _SparseCore
 from .util import ceil_log2, floor_log2, nbits
 
 
 @dataclass(frozen=True)
 class ChunkedParams:
-    """chunk_len_override pins the chunk length for tests; inner configures
-    the per-chunk recursive index in the large-alphabet regime."""
+    """chunk_len_override pins the chunk length for tests."""
 
     chunk_len_override: int | None = None
-    inner: OptimalParams | None = None
+
+
+def _merge_ranks(parts: list, k: int) -> list[int]:
+    """First k distinct values of up to three descending rank lists."""
+    out: list[int] = []
+    seen = set()
+    idx = [0] * len(parts)
+    while len(out) < k:
+        best = -1
+        which = -1
+        for t, part in enumerate(parts):
+            if idx[t] < len(part):
+                v = int(part[idx[t]])
+                if v > best:
+                    best, which = v, t
+        if which < 0:
+            break
+        idx[which] += 1
+        if best not in seen:
+            seen.add(best)
+            out.append(best)
+    return out
 
 
 def _word_topk(table: dict, bits: int, word: int, lo: int, hi: int,
@@ -60,14 +79,13 @@ def _word_topk(table: dict, bits: int, word: int, lo: int, hi: int,
 
 
 class _RecursiveChunk:
-    """One large-alphabet chunk: remapped ranks under a recursive index."""
+    """One large-alphabet chunk: remapped ranks under a sparse core."""
 
-    def __init__(self, seg_ranks: np.ndarray, inner: OptimalParams):
+    def __init__(self, seg_ranks: np.ndarray):
         uniq = np.unique(seg_ranks)
         self.glob_of_loc = uniq.astype(np.int32)
         loc = np.searchsorted(uniq, seg_ranks).astype(np.int32)
-        synth = ColorArray(loc, np.arange(len(uniq), dtype=np.int64))
-        self.core = OptimalTopK(synth, inner)
+        self.core = _SparseCore(loc, len(uniq), 2)
 
     def topk_glob(self, a: int, b: int, k: int) -> list[int]:
         loc = self.core.topk_ranks(a, b, k)
@@ -178,7 +196,6 @@ class ChunkedTopK:
                 raise BadParameter("chunk length must be >= 1")
         self.chunk_len = min(chunk_len, n)
         ranks = arr.ranks()
-        inner = params.inner or OptimalParams()
         self._word_table: dict = {}
         if self.regime == "packed":
             p_len = 2
@@ -195,7 +212,7 @@ class ChunkedTopK:
             ]
         else:
             self._chunks = [
-                _RecursiveChunk(ranks[j : j + self.chunk_len], inner)
+                _RecursiveChunk(ranks[j : j + self.chunk_len])
                 for j in range(0, n, self.chunk_len)
             ]
         nchunks = len(self._chunks)

@@ -3,9 +3,6 @@
 Exit codes: 0 success, 1 verification mismatch, 2 unparsable input,
 3 bad parameter or invalid query, 4 file system trouble, 5 corrupt
 snapshot, 6 operation not applicable to the snapshot's kind.
-
-Setting TOPK_DEBUG_ORACLE=1 makes builds of the grid-based index replay
-every precomputed list against a direct scan (slow, build-time only).
 """
 
 from __future__ import annotations
@@ -187,9 +184,6 @@ def _cmd_stats(args) -> int:
     if kind == "sparse":
         lines["f"] = index.f
         lines["levels"] = ",".join(str(v) for v in index.core.levels)
-    elif kind == "optimal":
-        lines["grid_levels"] = ",".join(str(v) for v in index.grid_levels) or "-"
-        lines["delta"] = index.delta
     elif kind == "chunked":
         lines["regime"] = index.regime
         lines["chunk_len"] = index.chunk_len

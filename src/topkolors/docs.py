@@ -41,7 +41,8 @@ from .errors import (
 )
 from .model import ColorArray, ColorList, check_range
 from .online import open_stream
-from .optimal import OptimalParams, OptimalTopK
+from .optimal import OptimalTopK
+from .util import nbits
 
 SEPARATOR = 0
 
@@ -172,7 +173,7 @@ class DocumentIndex:
     """
 
     def __init__(self, collection: DocumentCollection, weights,
-                 t_values=None, params: OptimalParams | None = None):
+                 t_values=None):
         self.collection = collection
         s = collection.num_docs
         self.weights = {j: int(weights[j]) for j in range(s)}
@@ -188,10 +189,11 @@ class DocumentIndex:
             dtype=np.int64,
         )
         self.arr = ColorArray(colors, prio)
-        self.index = OptimalTopK(self.arr, params)
-        self._occ_slots = [
-            np.flatnonzero(colors == j).astype(np.int64) for j in range(s)
-        ]
+        self.index = OptimalTopK(self.arr)
+        # slots of each document in slot order: one stable sort by color
+        by_color = np.argsort(colors, kind="stable")
+        ends = np.cumsum(np.bincount(colors, minlength=s + 1))
+        self._occ_slots = np.split(by_color, ends[:s])[:s]
         if t_values is None:
             t_values = []
             t = 1
@@ -206,7 +208,6 @@ class DocumentIndex:
             t: _AnchorIndex(t, self._occ_slots, self.weights)
             for t in self.t_values
         }
-        self._sa_list = [int(v) for v in self.suffix_array]
 
     @property
     def n(self) -> int:
@@ -218,10 +219,11 @@ class DocumentIndex:
         p = _check_pattern(pattern)
         text = self.collection.text
         m = len(p)
-        lo = bisect.bisect_left(self._sa_list, p,
-                                key=lambda i: text[i : i + m])
-        hi = bisect.bisect_right(self._sa_list, p,
-                                 key=lambda i: text[i : i + m])
+        # a view, not a copy: its items come out as Python ints, which
+        # slice the text faster than numpy scalars do
+        sa = memoryview(self.suffix_array)
+        lo = bisect.bisect_left(sa, p, key=lambda i: text[i : i + m])
+        hi = bisect.bisect_right(sa, p, key=lambda i: text[i : i + m])
         if lo == hi:
             return None
         return lo + 1, hi
@@ -282,7 +284,8 @@ class DocumentIndex:
         return ColorList(out)
 
     def measured_bits(self) -> int:
-        total = self.suffix_array.nbytes * 8 + self.index.measured_bits()
+        total = nbits(self.suffix_array, self.arr.colors)
+        total += self.index.measured_bits()
         total += sum(s.nbytes * 8 for s in self._occ_slots)
         for anchor in self._anchors.values():
             if anchor.slots is not None:

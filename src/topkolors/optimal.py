@@ -1,68 +1,22 @@
-"""Constant-time-per-color top-K index built from precomputed range lists.
+"""The default top-K index: one f=2 sparse core over the array's ranks.
 
-Layout.  For recursion levels l = 1..h the array is overlaid with grids of
-boundary positions spaced floor(N^(1/2^l)) * delta apart (delta defaults to
-ceil(log2 N)^2 with a configurable floor; grids whose spacing exceeds N are
-skipped).  Every grid point stores, for each power-of-two radius fitting the
-array, the top-m colors of the range it spans on either side, where m is
-ceil(N^(1/2^l)).  Consecutive grid points delimit blocks; every block carries
-a sparse index over its colors remapped to local priority ranks (f=2 on inner
-levels, f=6 on the last).  Last-level blocks additionally carry a sampled
-micro-structure: lists of capacity ceil(log2(N)^(1/3)) at every sqrt(log2 N)
-positions plus the block's colors packed into machine words, so that tiny
-ranges are answered from a memoized word table.
+The paper reaches O(K) query time through a hierarchy of grids of
+precomputed candidate lists.  With grid points spaced
+floor(sqrt N) * max(ceil(log2 N)^2, 4096) apart, the first grid only fits
+once N >= 2^24, so at every size this package can build the hierarchy is
+empty and every query goes to its global fallback.  OptimalTopK is that
+fallback alone: a _SparseCore with f=2 over the per-position priority
+ranks, answering in rank space and converting back to (color, priority)
+pairs at the end.
 
-Queries.  A capped reporter probe first shrinks K to the distinct count K_q.
-K_q selects the deepest level whose list capacity still covers it; the range
-splits on that grid into two flanks inside single blocks and a middle that is
-the union of two stored lists.  Flank answers come from the block structures
-(the word table when K_q is small enough on the last level), and the three
-parts merge with de-duplication.  Ranges without a grid boundary, or K_q
-beyond the coarsest list capacity, fall back to a global f=2 sparse index,
-which also stands in for any block that covers the whole array.
-
-All stored lists hold priority ranks descending; with TOPK_DEBUG_ORACLE=1
-(or params.debug_oracle) every list built is replayed against a direct scan.
+two_list_union, the paper's merge of two candidate lists, is kept as a
+public helper over ColorLists.
 """
 
 from __future__ import annotations
 
-import math
-import os
-from dataclasses import dataclass
-
-import numpy as np
-
-from .errors import BadParameter, OutOfBounds
 from .model import ColorArray, ColorList, QuerySpec, check_range
-from .primitives import ColorReporter
 from .sparse import _SparseCore
-from .util import ceil_log2, ceil_root_pow2, floor_log2, iroot_pow2, nbits
-
-
-@dataclass(frozen=True)
-class OptimalParams:
-    """Construction knobs; defaults favor desk-scale robustness.
-
-    delta_floor keeps grid spacing from collapsing at small N (grids engage
-    only once floor(sqrt(N)) * delta fits inside the array); delta_override
-    pins delta exactly, which tests use to force every code path on tiny
-    inputs.  last_level_len is the block length at which recursion stops.
-    debug_oracle None means: read the TOPK_DEBUG_ORACLE environment variable.
-    """
-
-    delta_floor: int = 4096
-    delta_override: int | None = None
-    last_level_len: int = 64
-    f_inner: int = 2
-    f_last: int = 6
-    word_key_bits: int = 128
-    debug_oracle: bool | None = None
-
-    def debug_enabled(self) -> bool:
-        if self.debug_oracle is not None:
-            return self.debug_oracle
-        return os.environ.get("TOPK_DEBUG_ORACLE", "") == "1"
 
 
 def two_list_union(lx: ColorList, ly: ColorList, k: int) -> ColorList:
@@ -90,427 +44,18 @@ def two_list_union(lx: ColorList, ly: ColorList, k: int) -> ColorList:
     return ColorList(out)
 
 
-def _union_ranks(x, y, k: int) -> list[int]:
-    """Merge two strictly descending rank lists, deduplicated, first k."""
-    out: list[int] = []
-    i = j = 0
-    nx, ny = len(x), len(y)
-    while len(out) < k and (i < nx or j < ny):
-        if j >= ny or (i < nx and x[i] >= y[j]):
-            v = int(x[i])
-            i += 1
-        else:
-            v = int(y[j])
-            j += 1
-        if not out or out[-1] != v:
-            out.append(v)
-    return out
-
-
-def _merge_ranks(parts: list, k: int) -> list[int]:
-    """K-way variant of _union_ranks for up to three descending lists."""
-    out: list[int] = []
-    seen = set()
-    idx = [0] * len(parts)
-    while len(out) < k:
-        best = -1
-        which = -1
-        for t, part in enumerate(parts):
-            if idx[t] < len(part):
-                v = int(part[idx[t]])
-                if v > best:
-                    best, which = v, t
-        if which < 0:
-            break
-        idx[which] += 1
-        if best not in seen:
-            seen.add(best)
-            out.append(best)
-    return out
-
-
-class _OccIndex:
-    """Positions of every rank, grouped by rank, for list construction."""
-
-    def __init__(self, ranks: np.ndarray, sigma: int):
-        order = np.argsort(ranks, kind="stable")
-        self.pos = order.astype(np.int32)
-        counts = np.bincount(ranks, minlength=sigma)
-        self.off = np.zeros(sigma + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.off[1:])
-        self.sigma = sigma
-
-    def occurs(self, rank: int, x: int, y: int) -> bool:
-        """Does `rank` occur at any position in [x, y)?"""
-        lo, hi = int(self.off[rank]), int(self.off[rank + 1])
-        seg = self.pos[lo:hi]
-        i = int(np.searchsorted(seg, x, side="left"))
-        return i < hi - lo and int(seg[i]) < y
-
-    def top_m(self, x: int, y: int, m: int) -> list[int]:
-        """Top-m ranks present in [x, y), descending."""
-        out = []
-        for r in range(self.sigma - 1, -1, -1):
-            if self.occurs(r, x, y):
-                out.append(r)
-                if len(out) == m:
-                    break
-        return out
-
-
-class _LevelLists:
-    """Stored top-m lists at one level's grid points, per radius and side."""
-
-    LEFT, RIGHT = 0, 1
-
-    def __init__(self, n, stride, m, occ, debug, ranks):
-        self.stride = stride
-        self.m = m
-        self.npoints = n // stride + 1
-        self.rmax = ceil_log2(max(n, 2))
-        flat: list[np.ndarray] = []
-        off = np.zeros(self.npoints * (self.rmax + 1) * 2 + 1, dtype=np.int64)
-        cell = 0
-        total = 0
-        self.debug_replays = 0
-        for pi in range(self.npoints):
-            j = pi * stride
-            for r in range(self.rmax + 1):
-                span = 1 << r
-                for side, x, y in ((self.LEFT, j - span, j),
-                                   (self.RIGHT, j, j + span)):
-                    if x >= 0 and y <= n:
-                        got = occ.top_m(x, y, m)
-                        if debug:
-                            seen = np.unique(ranks[x:y])[::-1][:m]
-                            assert got == [int(v) for v in seen]
-                            self.debug_replays += 1
-                        flat.append(np.asarray(got, dtype=np.int32))
-                        total += len(got)
-                    cell += 1
-                    off[cell] = total
-        self.flat = (
-            np.concatenate(flat) if flat else np.empty(0, dtype=np.int32)
-        )
-        self.off = off
-
-    def get(self, point_index: int, r: int, side: int) -> np.ndarray:
-        cell = (point_index * (self.rmax + 1) + r) * 2 + side
-        return self.flat[int(self.off[cell]) : int(self.off[cell + 1])]
-
-    def measured_bits(self) -> int:
-        return nbits(self.flat, self.off)
-
-
-class _FBlock:
-    """Sampled lists plus packed color words inside one last-level block."""
-
-    def __init__(self, j1, j2, loc_ranks, g, cap, occ, to_loc, word_key_bits,
-                 table, debug=False):
-        self.j1 = j1
-        self.j2 = j2
-        self.g = g
-        self.cap = cap
-        length = j2 - j1
-        self.samples = np.arange(j1, j2, g, dtype=np.int64)
-        if int(self.samples[-1]) != j2:
-            self.samples = np.append(self.samples, j2)
-        self.bits = max(1, ceil_log2(int(loc_ranks.max()) + 2))
-        self.key_ok = self.bits * g <= word_key_bits
-        self.debug_replays = 0
-        # one packed word per sampling gap
-        self.words: list[int] = []
-        for gi in range(len(self.samples) - 1):
-            lo, hi = int(self.samples[gi]), int(self.samples[gi + 1])
-            w = 0
-            for t, v in enumerate(loc_ranks[lo - j1 : hi - j1]):
-                w |= int(v) << (t * self.bits)
-            self.words.append(w)
-        # capacity-limited lists at sample points, dyadic radii inside block
-        rmax = ceil_log2(max(length, 2))
-        flat: list[list[int]] = []
-        off = np.zeros(len(self.samples) * (rmax + 1) * 2 + 1, dtype=np.int64)
-        self.rmax = rmax
-        cell = 0
-        total = 0
-        for v in self.samples:
-            v = int(v)
-            for r in range(rmax + 1):
-                span = 1 << r
-                for x, y in ((v - span, v), (v, v + span)):
-                    if x >= j1 and y <= j2:
-                        got = [to_loc(gr) for gr in occ.top_m(x, y, cap)]
-                        if debug:
-                            assert got == sorted(got, reverse=True)
-                            self.debug_replays += 1
-                        flat.append(got)
-                        total += len(got)
-                    cell += 1
-                    off[cell] = total
-        self.flat = np.asarray(
-            [v for lst in flat for v in lst], dtype=np.int32
-        )
-        self.off = off
-        self.table = table
-
-    def unpack(self, gap_index: int) -> list[int]:
-        lo = int(self.samples[gap_index])
-        hi = int(self.samples[gap_index + 1])
-        w = self.words[gap_index]
-        mask = (1 << self.bits) - 1
-        return [(w >> (t * self.bits)) & mask for t in range(hi - lo)]
-
-    def _list(self, sample_index: int, r: int, side: int) -> np.ndarray:
-        cell = (sample_index * (self.rmax + 1) + r) * 2 + side
-        return self.flat[int(self.off[cell]) : int(self.off[cell + 1])]
-
-    def _gap_topk(self, gap_index: int, lo: int, hi: int) -> tuple:
-        """Distinct local ranks of gap positions [lo, hi), descending.
-
-        Memoized on the packed word when the key fits the configured bit
-        budget; concurrent duplicated computation is harmless since values
-        are immutable tuples published by a single dict store.
-        """
-        w = self.words[gap_index]
-        key = (self.bits, w, lo, hi)
-        if self.key_ok:
-            hit = self.table.get(key)
-            if hit is not None:
-                return hit
-        mask = (1 << self.bits) - 1
-        res = tuple(
-            sorted({(w >> (t * self.bits)) & mask for t in range(lo, hi)},
-                   reverse=True)
-        )
-        if self.key_ok:
-            self.table[key] = res
-        return res
-
-    def topk_loc(self, a: int, b: int, k: int) -> list[int]:
-        """Top-k local ranks of global content positions [a, b], 1-based."""
-        x, y = a - 1, b  # 0-based half-open
-        si = int(np.searchsorted(self.samples, x, side="left"))
-        x1 = int(self.samples[si]) if si < len(self.samples) else self.j2 + 1
-        ti = int(np.searchsorted(self.samples, y, side="right")) - 1
-        x2 = int(self.samples[ti]) if ti >= 0 else -1
-        if x1 > x2:
-            gi = int(np.searchsorted(self.samples, x, side="right")) - 1
-            base = int(self.samples[gi])
-            return list(self._gap_topk(gi, x - base, y - base))[:k]
-        parts = []
-        if x2 > x1:
-            r = floor_log2(x2 - x1)
-            parts.append(self._list(si, r, 1))
-            parts.append(self._list(ti, r, 0))
-        if x < x1:
-            gi = si - 1
-            base = int(self.samples[gi])
-            parts.append(self._gap_topk(gi, x - base, x1 - base))
-        if y > x2:
-            parts.append(self._gap_topk(ti, 0, y - x2))
-        return _merge_ranks(parts, k)
-
-    def measured_bits(self) -> int:
-        word_bits = len(self.words) * self.g * self.bits
-        return word_bits + nbits(self.flat, self.off, self.samples)
-
-
-class _Block:
-    """One grid block: colors remapped to local ranks plus a sparse core.
-
-    Blocks covering the whole array skip the remap and their own core; the
-    owning index routes those queries to its global structure.
-    """
-
-    def __init__(self, j1, j2, ranks, f, whole=False):
-        self.j1 = j1
-        self.j2 = j2
-        self.whole = whole
-        self.fblock = None
-        if whole:
-            self.glob_of_loc = None
-            self.loc_ranks = ranks
-            self.tbl = None
-            self.core = None
-            return
-        seg = ranks[j1:j2]
-        uniq = np.unique(seg)
-        self.glob_of_loc = uniq.astype(np.int32)
-        self.loc_ranks = np.searchsorted(uniq, seg).astype(np.int32)
-        order = np.argsort(self.loc_ranks, kind="stable")
-        starts = np.searchsorted(self.loc_ranks[order], np.arange(len(uniq)))
-        self.tbl = order[starts].astype(np.int32)
-        self.core = _SparseCore(self.loc_ranks, len(uniq), f)
-
-    def to_loc(self, glob_rank: int) -> int:
-        if self.whole:
-            return int(glob_rank)
-        return int(np.searchsorted(self.glob_of_loc, glob_rank))
-
-    def to_glob(self, loc_list) -> list[int]:
-        if self.whole:
-            return [int(v) for v in loc_list]
-        return [int(self.glob_of_loc[v]) for v in loc_list]
-
-    def topk_glob(self, a: int, b: int, k: int) -> list[int]:
-        """Global ranks for content positions [a, b] (global, 1-based)."""
-        loc = self.core.topk_ranks(a - self.j1, b - self.j1, k)
-        return self.to_glob(loc)
-
-    def measured_bits(self) -> int:
-        total = 0
-        if not self.whole:
-            total += nbits(self.glob_of_loc, self.loc_ranks, self.tbl)
-            total += self.core.measured_bits()
-        if self.fblock is not None:
-            total += self.fblock.measured_bits()
-        return total
-
-
 class OptimalTopK:
-    def __init__(self, arr: ColorArray, params: OptimalParams | None = None):
+    def __init__(self, arr: ColorArray):
         self.arr = arr
         self.n = arr.n
-        self.params = params or OptimalParams()
-        p = self.params
-        n, sigma = arr.n, arr.sigma
-        self._ranks = arr.ranks()
-        self._global = _SparseCore(self._ranks, sigma, p.f_inner)
-        log_n = ceil_log2(max(n, 2))
-        self.delta = (
-            p.delta_override
-            if p.delta_override is not None
-            else max(log_n * log_n, p.delta_floor)
-        )
-        if self.delta < 1:
-            raise BadParameter("grid spacing factor must be >= 1")
-        if p.last_level_len < 1:
-            raise BadParameter("last_level_len must be >= 1")
-        self.h = 1
-        while iroot_pow2(n, self.h) > p.last_level_len:
-            self.h += 1
-        self.cap_f = max(1, math.ceil(log_n ** (1 / 3)))
-        self._g = max(1, math.isqrt(max(log_n, 1)))
-        debug = p.debug_enabled()
-        self._levels: dict[int, dict] = {}
-        self._word_table: dict = {}
-        occ = None
-        for l in range(1, self.h + 1):
-            stride = iroot_pow2(n, l) * self.delta
-            if stride > n:
-                # Strides shrink with depth, so a grid that does not fit
-                # means no coarser one exists either: the hierarchy only
-                # engages once the level-1 grid fits, otherwise every query
-                # goes through the global fallback.
-                break
-            if occ is None:
-                occ = _OccIndex(self._ranks, sigma)
-            m = ceil_root_pow2(n, l)
-            lists = _LevelLists(n, stride, m, occ, debug, self._ranks)
-            points = list(range(0, n, stride)) + [n]
-            last = l == self.h
-            f = p.f_last if last else p.f_inner
-            blocks = []
-            for j1, j2 in zip(points, points[1:]):
-                blk = _Block(j1, j2, self._ranks, f, whole=(j1 == 0 and j2 == n))
-                if last:
-                    blk.fblock = _FBlock(
-                        j1, j2, blk.loc_ranks, self._g, self.cap_f,
-                        occ, blk.to_loc, p.word_key_bits,
-                        self._word_table, debug=debug,
-                    )
-                blocks.append(blk)
-            self._levels[l] = {"stride": stride, "m": m,
-                               "lists": lists, "blocks": blocks}
-        # deepest usable level per ceil(log2 K_q)
-        self._level_for_logk: list[int] = []
-        for j in range(log_n + 1):
-            pick = 0
-            for l in sorted(self._levels):
-                if self._levels[l]["m"] >= (1 << j):
-                    pick = l
-            self._level_for_logk.append(pick)
-        self._probe = (
-            ColorReporter(self._ranks) if self._levels else None
-        )
-        self.debug_replays = sum(
-            lv["lists"].debug_replays
-            + sum(b.fblock.debug_replays for b in lv["blocks"] if b.fblock)
-            for lv in self._levels.values()
-        )
-
-    @property
-    def grid_levels(self) -> list[int]:
-        return sorted(self._levels)
-
-    def _block_at(self, l: int, pos: int) -> _Block:
-        lv = self._levels[l]
-        return lv["blocks"][min(pos // lv["stride"], len(lv["blocks"]) - 1)]
-
-    def _flank(self, l: int, blk: _Block, a: int, b: int, k: int) -> list[int]:
-        if l == self.h and k <= self.cap_f and blk.fblock is not None:
-            return blk.to_glob(blk.fblock.topk_loc(a, b, k))
-        if blk.whole:
-            return self._global.topk_ranks(a, b, k)
-        return blk.topk_glob(a, b, k)
-
-    def topk_ranks(self, a: int, b: int, k: int) -> list[int]:
-        if self._probe is None:
-            return self._global.topk_ranks(a, b, k)
-        hits = self._probe.positions(a - 1, b, cap=k)
-        kq = min(k, len(hits))
-        l = 0
-        j = ceil_log2(max(kq, 1))
-        if j < len(self._level_for_logk):
-            l = self._level_for_logk[j]
-        if l == 0:
-            return self._global.topk_ranks(a, b, kq)
-        lv = self._levels[l]
-        s = lv["stride"]
-        a1 = ((a - 1 + s - 1) // s) * s
-        b1 = (b // s) * s
-        if a1 > b1:
-            return self._flank(l, self._block_at(l, a - 1), a, b, kq)
-        parts = []
-        if b1 > a1:
-            r = floor_log2(b1 - a1)
-            lists = lv["lists"]
-            parts.append(
-                _union_ranks(lists.get(a1 // s, r, _LevelLists.RIGHT),
-                             lists.get(b1 // s, r, _LevelLists.LEFT), kq)
-            )
-        if a - 1 < a1:
-            parts.append(self._flank(l, self._block_at(l, a1 - 1), a, a1, kq))
-        if b > b1:
-            parts.append(self._flank(l, self._block_at(l, b1), b1 + 1, b, kq))
-        return _merge_ranks(parts, kq)
+        self._global = _SparseCore(arr.ranks(), arr.sigma, 2)
 
     def topk(self, a: int, b: int, k: int) -> ColorList:
         check_range(self.n, a, b, k)
-        return self.arr.list_from_ranks(self.topk_ranks(a, b, k))
+        return self.arr.list_from_ranks(self._global.topk_ranks(a, b, k))
 
     def query(self, q: QuerySpec) -> ColorList:
         return self.topk(q.a, q.b, q.k)
 
-    def f_block_topk(self, block_index: int, a: int, b: int, k: int) -> ColorList:
-        """Query one last-level block's sampled micro-structure directly."""
-        if self.h not in self._levels:
-            raise OutOfBounds("no last-level grid present at this size")
-        blocks = self._levels[self.h]["blocks"]
-        if not 0 <= block_index < len(blocks):
-            raise OutOfBounds(f"block {block_index} out of range")
-        blk = blocks[block_index]
-        if not (blk.j1 < a <= b <= blk.j2):
-            raise OutOfBounds(f"({a}, {b}) outside block ({blk.j1}, {blk.j2}]")
-        if k < 1 or k > self.cap_f:
-            raise BadParameter(f"k must be in [1, {self.cap_f}], got {k}")
-        return self.arr.list_from_ranks(blk.to_glob(blk.fblock.topk_loc(a, b, k)))
-
     def measured_bits(self) -> int:
-        total = nbits(self._ranks) + self._global.measured_bits()
-        if self._probe is not None:
-            total += self._probe.measured_bits()
-        for lv in self._levels.values():
-            total += lv["lists"].measured_bits()
-            total += sum(b.measured_bits() for b in lv["blocks"])
-        return total
+        return self._global.measured_bits()

@@ -30,7 +30,7 @@ from .chunked import ChunkedParams, ChunkedTopK
 from .docs import DocumentCollection, DocumentIndex
 from .errors import ParseError, SnapshotCorrupt
 from .model import ColorArray, new_color_array
-from .optimal import OptimalParams, OptimalTopK
+from .optimal import OptimalTopK
 from .sparse import SparseTopK
 from .wavelet import WaveletTopK
 
@@ -89,6 +89,13 @@ def _array_payload(arr: ColorArray) -> bytes:
 
 
 def _array_from_payload(meta: dict, payload: bytes) -> ColorArray:
+    """The saved ColorArray, held to the rules new_color_array applies."""
+    for key in ("n", "sigma"):
+        v = meta.get(key)
+        if type(v) is not int or v < 1:
+            raise SnapshotCorrupt(
+                f"meta {key!r} must be a positive int, got {v!r}"
+            )
     n, sigma = meta["n"], meta["sigma"]
     want = 4 * n + 8 * sigma
     if len(payload) != want:
@@ -97,6 +104,13 @@ def _array_from_payload(meta: dict, payload: bytes) -> ColorArray:
         )
     colors = np.frombuffer(payload[: 4 * n], dtype="<i4").astype(np.int32)
     prio = np.frombuffer(payload[4 * n :], dtype="<i8").astype(np.int64)
+    lo, hi = int(colors.min()), int(colors.max())
+    if lo < 0 or hi >= sigma:
+        raise SnapshotCorrupt(
+            f"color ids span [{lo}, {hi}], outside [0, {sigma})"
+        )
+    if not np.bincount(colors, minlength=sigma).all():
+        raise SnapshotCorrupt(f"color ids are not dense in [0, {sigma})")
     return ColorArray(colors, prio)
 
 
@@ -129,14 +143,7 @@ def save_index(path: str, index) -> None:
     elif isinstance(index, SparseTopK):
         kind, params = "sparse", {"f": index.f}
     elif isinstance(index, OptimalTopK):
-        kind, params = "optimal", {
-            "delta_floor": index.params.delta_floor,
-            "delta_override": index.params.delta_override,
-            "last_level_len": index.params.last_level_len,
-            "f_inner": index.params.f_inner,
-            "f_last": index.params.f_last,
-            "word_key_bits": index.params.word_key_bits,
-        }
+        kind, params = "optimal", {}
     elif isinstance(index, ChunkedTopK):
         kind, params = "chunked", {"chunk_len_override": index.chunk_len_override}
     elif isinstance(index, DocumentIndex):
@@ -188,7 +195,8 @@ def load_index(path: str):
     if kind == "sparse":
         return kind, SparseTopK(arr, f=params["f"])
     if kind == "optimal":
-        return kind, OptimalTopK(arr, OptimalParams(**params))
+        # older snapshots carry the removed grid parameters; ignore them
+        return kind, OptimalTopK(arr)
     return kind, ChunkedTopK(
         arr, ChunkedParams(chunk_len_override=params["chunk_len_override"])
     )

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 
@@ -15,20 +13,6 @@ def floor_log2(n: int) -> int:
 def ceil_log2(n: int) -> int:
     """Smallest e with 2**e >= n (n >= 1)."""
     return (n - 1).bit_length() if n > 1 else 0
-
-
-def iroot_pow2(n: int, level: int) -> int:
-    """floor(n ** (1 / 2**level)) computed exactly with integer square roots."""
-    r = n
-    for _ in range(level):
-        r = math.isqrt(r)
-    return r
-
-
-def ceil_root_pow2(n: int, level: int) -> int:
-    """ceil(n ** (1 / 2**level)) computed exactly."""
-    r = iroot_pow2(n, level)
-    return r if r ** (2**level) == n else r + 1
 
 
 def nbits(*arrays) -> int:

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 
@@ -9,8 +10,10 @@ from topkolors.chunked import ChunkedTopK
 from topkolors.docs import DocumentCollection, DocumentIndex
 from topkolors.errors import ParseError, SnapshotCorrupt
 from topkolors.model import new_color_array, oracle_topk
-from topkolors.optimal import OptimalParams, OptimalTopK
+from topkolors.optimal import OptimalTopK
 from topkolors.snapshot import (
+    KIND_BYTES,
+    _pack_sections,
     load_index,
     parse_array_text,
     parse_corpus_text,
@@ -32,7 +35,7 @@ def canon():
     [
         WaveletTopK,
         lambda a: SparseTopK(a, f=3),
-        lambda a: OptimalTopK(a, OptimalParams(delta_override=2, last_level_len=3)),
+        lambda a: OptimalTopK(a),
         ChunkedTopK,
     ],
 )
@@ -54,9 +57,6 @@ def test_array_snapshot_round_trip(tmp_path, make):
         assert loaded.topk(a, b, k) == index.topk(a, b, k)
     if isinstance(index, SparseTopK):
         assert loaded.f == 3
-    if isinstance(index, OptimalTopK):
-        assert loaded.params == index.params
-        assert loaded.grid_levels == index.grid_levels
 
 
 def test_docs_snapshot_round_trip(tmp_path):
@@ -262,3 +262,80 @@ def test_loaded_snapshot_answers_match_oracle(tmp_path):
     for a in range(1, 65, 7):
         for b in range(a, 65, 5):
             assert ix.topk(a, b, 3) == oracle_topk(arr, a, b, 3)
+
+
+def seal_array(path, kind, meta, colors, prio):
+    """Write an array snapshot with the given meta, CRC and all."""
+    payload = (np.asarray(colors, dtype="<i4").tobytes()
+               + np.asarray(prio, dtype="<i8").tobytes())
+    blob = _pack_sections(KIND_BYTES[kind],
+                          [json.dumps(meta).encode(), payload])
+    path.write_bytes(blob)
+    return str(path)
+
+
+def test_optimal_snapshot_with_grid_params_still_loads(tmp_path, capsys):
+    # the meta an optimal snapshot carried while the index had grid knobs
+    arr = canon()
+    old_params = {
+        "delta_floor": 4096,
+        "delta_override": 2,
+        "last_level_len": 3,
+        "f_inner": 2,
+        "f_last": 6,
+        "word_key_bits": 128,
+        "no_such_knob": 1,
+    }
+    meta = {"kind": "optimal", "params": old_params, "n": arr.n,
+            "sigma": arr.sigma}
+    snap = seal_array(tmp_path / "old.snap", "optimal", meta,
+                      arr.colors, arr.priority_of)
+    kind, ix = load_index(snap)
+    assert kind == "optimal"
+    assert isinstance(ix, OptimalTopK)
+    for a in range(1, arr.n + 1):
+        for b in range(a, arr.n + 1):
+            for k in (1, 2, 4):
+                assert ix.topk(a, b, k) == oracle_topk(arr, a, b, k)
+    assert cli.main(["stats", "--snapshot", snap]) == 0
+    assert "#stat kind=optimal\n" in capsys.readouterr().out
+
+
+CANON_META = {"kind": "sparse", "params": {"f": 2}, "n": 8, "sigma": 4}
+
+
+@pytest.mark.parametrize(
+    "meta_edit, colors",
+    [
+        ({"n": None}, None),
+        ({"sigma": None}, None),
+        ({"n": 0}, []),
+        ({"n": -8}, None),
+        ({"n": "8"}, None),
+        ({"n": 8.0}, None),
+        ({"sigma": True}, None),
+        ({}, [2, 0, 1, 0, 9, 1, 3, 2]),
+        ({}, [2, 0, 1, 0, -1, 1, 3, 2]),
+        ({}, [2, 0, 1, 0, 2, 1, 2, 2]),
+    ],
+    ids=["no-n", "no-sigma", "zero-n", "negative-n", "string-n", "float-n",
+         "bool-sigma", "color-above-sigma", "negative-color", "not-dense"],
+)
+def test_hostile_array_snapshot_is_corrupt(tmp_path, capsys, meta_edit,
+                                           colors):
+    meta = dict(CANON_META)
+    for key, value in meta_edit.items():
+        if value is None:
+            del meta[key]
+        else:
+            meta[key] = value
+    if colors is None:
+        colors = canon().colors
+    snap = seal_array(tmp_path / "bad.snap", "sparse", meta, colors,
+                      [4, 2, 7, 5])
+    assert cli.main(["stats", "--snapshot", snap]) == 5
+    assert cli.main(["query", "--snapshot", snap,
+                     "--range", "1", "8", "2"]) == 5
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ")

@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from topkolors.errors import BadParameter, InvalidRange, OutOfBounds
+from topkolors.errors import InvalidRange
 from topkolors.model import ColorList, QuerySpec, new_color_array, oracle_topk
-from topkolors.optimal import OptimalParams, OptimalTopK, two_list_union
+from topkolors.optimal import OptimalTopK, two_list_union
+from topkolors.sparse import SparseTopK
 
 CANON_COLORS = [2, 0, 1, 0, 2, 1, 3, 2]
 CANON_PRIO = {0: 4, 1: 2, 2: 7, 3: 5}
-
-# forces grids on at tiny N: stride_1 = isqrt(n) * 2
-FORCED = OptimalParams(delta_override=2, last_level_len=3, debug_oracle=True)
 
 
 def canon():
@@ -44,7 +42,6 @@ def test_two_list_union_priority_ties_break_by_color():
 
 def test_canonical_queries_default_params():
     ix = OptimalTopK(canon())
-    assert ix.grid_levels == []
     assert ix.topk(2, 6, 2) == [(2, 7), (0, 4)]
     assert ix.topk(1, 8, 4) == [(2, 7), (3, 5), (0, 4), (1, 2)]
     assert ix.topk(3, 3, 1) == [(1, 2)]
@@ -54,109 +51,6 @@ def test_canonical_queries_default_params():
         ix.topk(0, 3, 1)
     with pytest.raises(InvalidRange):
         ix.topk(2, 6, 0)
-
-
-def test_param_validation():
-    arr = canon()
-    with pytest.raises(BadParameter):
-        OptimalTopK(arr, OptimalParams(delta_override=0))
-    with pytest.raises(BadParameter):
-        OptimalTopK(arr, OptimalParams(last_level_len=0))
-
-
-def test_grids_stay_off_at_default_delta():
-    rng = np.random.default_rng(7)
-    ix = OptimalTopK(random_array(rng, 512, 16))
-    assert ix.grid_levels == []
-
-
-def test_forced_grid_structure_and_exhaustive_oracle():
-    rng = np.random.default_rng(11)
-    arr = random_array(rng, 60, 8)
-    ix = OptimalTopK(arr, FORCED)
-    # isqrt(60)*2 = 14 fits, 60^(1/4) = 2 <= 3 stops the recursion at 2
-    assert ix.grid_levels == [1, 2]
-    assert ix.debug_replays > 0
-    n = arr.n
-    for a in range(1, n + 1):
-        for b in range(a, n + 1):
-            for k in (1, 2, 3, 5, 8, n):
-                assert ix.topk(a, b, k) == oracle_topk(arr, a, b, k), (a, b, k)
-
-
-def test_forced_grid_matches_default_build():
-    rng = np.random.default_rng(12)
-    arr = random_array(rng, 80, 6)
-    forced = OptimalTopK(arr, FORCED)
-    plain = OptimalTopK(arr)
-    queries = [(1, 80, 6), (5, 40, 2), (17, 23, 1), (2, 79, 4), (33, 33, 3)]
-    for a, b, k in queries:
-        assert forced.topk(a, b, k) == plain.topk(a, b, k)
-
-
-def test_f_block_direct_frozen():
-    arr = new_color_array([0, 2, 0, 1], {0: 1, 1: 2, 2: 3})
-    ix = OptimalTopK(arr, OptimalParams(delta_override=2, last_level_len=4))
-    assert ix.grid_levels == [1]
-    assert ix.cap_f == 2
-    assert ix.f_block_topk(0, 1, 4, 2) == [(2, 3), (1, 2)]
-    assert ix.f_block_topk(0, 2, 3, 1) == [(2, 3)]
-    assert ix.f_block_topk(0, 1, 1, 1) == [(0, 1)]
-    with pytest.raises(OutOfBounds):
-        ix.f_block_topk(1, 1, 2, 1)
-    with pytest.raises(OutOfBounds):
-        ix.f_block_topk(0, 0, 4, 1)
-    with pytest.raises(BadParameter):
-        ix.f_block_topk(0, 1, 4, ix.cap_f + 1)
-
-
-def test_f_block_rejected_when_grids_off():
-    ix = OptimalTopK(canon())
-    with pytest.raises(OutOfBounds):
-        ix.f_block_topk(0, 1, 2, 1)
-
-
-def test_packed_words_roundtrip():
-    rng = np.random.default_rng(13)
-    arr = random_array(rng, 60, 8)
-    ix = OptimalTopK(arr, FORCED)
-    blocks = ix._levels[ix.h]["blocks"]
-    assert blocks
-    for blk in blocks:
-        fb = blk.fblock
-        loc = blk.loc_ranks
-        for gi in range(len(fb.samples) - 1):
-            lo = int(fb.samples[gi]) - blk.j1
-            hi = int(fb.samples[gi + 1]) - blk.j1
-            assert fb.unpack(gi) == [int(v) for v in loc[lo:hi]]
-
-
-def test_block_first_occurrence_table():
-    rng = np.random.default_rng(14)
-    arr = random_array(rng, 60, 8)
-    ix = OptimalTopK(arr, FORCED)
-    checked = 0
-    for lv in ix._levels.values():
-        for blk in lv["blocks"]:
-            if blk.whole:
-                continue
-            loc = [int(v) for v in blk.loc_ranks]
-            for p, off in enumerate(blk.tbl):
-                assert loc[int(off)] == p
-                assert p not in loc[: int(off)]
-                checked += 1
-    assert checked > 0
-
-
-def test_debug_env_variable_trips_replay(monkeypatch):
-    monkeypatch.setenv("TOPK_DEBUG_ORACLE", "1")
-    rng = np.random.default_rng(15)
-    arr = random_array(rng, 40, 5)
-    ix = OptimalTopK(arr, OptimalParams(delta_override=2, last_level_len=3))
-    assert ix.debug_replays > 0
-    monkeypatch.setenv("TOPK_DEBUG_ORACLE", "0")
-    ix2 = OptimalTopK(arr, OptimalParams(delta_override=2, last_level_len=3))
-    assert ix2.debug_replays == 0
 
 
 def test_default_params_random_oracle():
@@ -172,24 +66,7 @@ def test_default_params_random_oracle():
             assert ix.topk(a, b, k) == oracle_topk(arr, a, b, k)
 
 
-def test_medium_forced_grid_random_oracle():
-    rng = np.random.default_rng(17)
-    arr = random_array(rng, 2048, 32)
-    params = OptimalParams(delta_override=32, last_level_len=16)
-    ix = OptimalTopK(arr, params)
-    assert ix.grid_levels == [1, 2]
-    ks = [1, 2, 3, 5, 7, 16, 40, 64, 500]
-    for _ in range(300):
-        a = int(rng.integers(1, arr.n + 1))
-        b = int(rng.integers(a, arr.n + 1))
-        k = ks[int(rng.integers(0, len(ks)))]
-        assert ix.topk(a, b, k) == oracle_topk(arr, a, b, k), (a, b, k)
-
-
 def test_measured_bits_accounting():
     rng = np.random.default_rng(18)
     arr = random_array(rng, 256, 16)
-    plain = OptimalTopK(arr)
-    forced = OptimalTopK(arr, OptimalParams(delta_override=2, last_level_len=3))
-    assert plain.measured_bits() > arr.n * 32
-    assert forced.measured_bits() > plain.measured_bits()
+    assert OptimalTopK(arr).measured_bits() == SparseTopK(arr, f=2).measured_bits()
