@@ -4,8 +4,9 @@ The array splits into chunks whose length depends on how the alphabet
 compares to the array: sigma^3 when sigma^2 >= floor(log2 N) (each chunk
 then carries an f=2 sparse index over locally remapped ranks), otherwise
 sigma^2 * floor(log2 N) (chunks subdivide into pieces of ceil(log_sigma N)
-positions packed into machine words, answered via a memoized table, with a
-per-chunk piece summary for the spans between pieces).
+positions packed into machine words, answered via a memoized table that is
+cleared once it holds _WORD_TABLE_CAP entries, with a per-chunk piece
+summary for the spans between pieces).
 
 Across chunks, a transposed summary stores sigma slots per chunk holding
 rank+1 for every color present in that chunk and 0 otherwise; a sparse index
@@ -29,6 +30,11 @@ from .errors import BadParameter
 from .model import ColorArray, ColorList, QuerySpec, check_range
 from .sparse import _SparseCore
 from .util import ceil_log2, floor_log2, nbits
+
+
+# entries the memo table of _word_topk may hold before it starts over; one
+# round of the low-sigma benchmark queries leaves about a third of this
+_WORD_TABLE_CAP = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -74,6 +80,8 @@ def _word_topk(table: dict, bits: int, word: int, lo: int, hi: int,
                reverse=True)
     )
     if key_ok:
+        if len(table) >= _WORD_TABLE_CAP:
+            table.clear()
         table[key] = res
     return res
 

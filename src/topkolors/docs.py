@@ -39,7 +39,7 @@ from .errors import (
     SeparatorInContent,
     UnsupportedT,
 )
-from .model import ColorArray, ColorList, check_range
+from .model import INT64_MAX, INT64_MIN, ColorArray, ColorList, check_range
 from .online import open_stream
 from .optimal import OptimalTopK
 from .util import nbits
@@ -184,6 +184,11 @@ class DocumentIndex:
         owners = np.searchsorted(collection._ends, slot_pos, side="right")
         colors = np.where(is_sep, s, owners).astype(np.int32)
         dummy_prio = min(self.weights.values()) - 1
+        # the separator dummy sorts one below the smallest weight
+        if dummy_prio < INT64_MIN or max(self.weights.values()) > INT64_MAX:
+            raise BadParameter(
+                f"weights must lie in [{INT64_MIN + 1}, {INT64_MAX}]"
+            )
         prio = np.asarray(
             [self.weights[j] for j in range(s)] + [dummy_prio],
             dtype=np.int64,

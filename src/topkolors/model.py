@@ -20,12 +20,16 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import (
+    BadParameter,
     ColorNotInSet,
     ColorOutOfRange,
     EmptyArray,
     InvalidRange,
     MissingPriority,
 )
+
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -59,6 +63,13 @@ class ColorList:
 
     def __init__(self, entries: Iterable[tuple[int, int]]):
         self.entries = tuple((int(c), int(p)) for c, p in entries)
+
+    @classmethod
+    def _of_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "ColorList":
+        """A ColorList over pairs already holding Python ints."""
+        out = cls.__new__(cls)
+        out.entries = tuple(pairs)
+        return out
 
     def colors(self) -> list[int]:
         return [c for c, _ in self.entries]
@@ -135,11 +146,10 @@ class ColorArray:
 
     def list_from_ranks(self, ranks: Iterable[int]) -> ColorList:
         """Build a ColorList from 0-based effective ranks, highest first."""
-        out = []
-        for r in ranks:
-            c = int(self.color_of_rank[int(r)])
-            out.append((c, int(self.priority_of[c])))
-        return ColorList(out)
+        colors = self.color_of_rank[np.asarray(ranks, dtype=np.intp)]
+        return ColorList._of_pairs(
+            zip(colors.tolist(), self.priority_of[colors].tolist())
+        )
 
     def __repr__(self) -> str:
         return f"ColorArray(n={self.n}, sigma={self.sigma})"
@@ -151,10 +161,13 @@ def new_color_array(
     """Validate raw colors and priorities and build a ColorArray.
 
     The distinct colors appearing in `colors` must be exactly 0..sigma-1 and
-    each must have a priority entry.  Raises EmptyArray, MissingPriority, or
-    ColorOutOfRange.
+    each must have a priority entry.  Raises EmptyArray, MissingPriority,
+    ColorOutOfRange, or BadParameter for a priority outside int64.
     """
-    arr = np.asarray(colors, dtype=np.int64)
+    try:
+        arr = np.asarray(colors, dtype=np.int64)
+    except OverflowError as exc:
+        raise ColorOutOfRange(f"color id outside int64: {exc}") from exc
     if arr.size == 0:
         raise EmptyArray("color array must be non-empty")
     distinct = np.unique(arr)
@@ -170,7 +183,10 @@ def new_color_array(
     for c in range(sigma):
         if c not in priorities:
             raise MissingPriority(f"color {c} has no priority")
-        prio[c] = int(priorities[c])
+        p = int(priorities[c])
+        if not INT64_MIN <= p <= INT64_MAX:
+            raise BadParameter(f"priority {p} of color {c} is outside int64")
+        prio[c] = p
     return ColorArray(arr.astype(np.int32), prio)
 
 

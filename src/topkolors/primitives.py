@@ -3,9 +3,10 @@
 Both structures rest on the predecessor array: pred[i] is the index of the
 previous occurrence of values[i] (or -1).  A value occurs in [l, r) iff some
 position i in the range has pred[i] < l, and that witness position is unique
-per value, so reporting distinct values reduces to finding all positions with
-pred below a threshold (a segment-tree walk, output-sensitive) and counting
-them reduces to dominance counting (a wavelet tree over pred, logarithmic).
+per value.  Reporting the distinct values of a range is therefore one
+vectorized scan for the positions with pred below l, and counting them is
+the same scan counted: O(r - l) work in a single numpy pass, which beats a
+logarithmic structure over pred at the range widths the indexes ask for.
 
 Ranges here are 0-based half-open at the lowest level; the public report /
 count methods take the 1-based inclusive convention used everywhere else.
@@ -15,6 +16,9 @@ node arrays of the tree indexes), build pred with `groups` set to the segment
 id per position.  Predecessors then never cross a segment boundary, and a
 query for segment range [l, r) with threshold l is correct with global
 indices, so one structure serves every segment of a level.
+
+ArgminSegtree and CountLessWavelet are the logarithmic alternatives over
+pred, kept as standalone structures.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 from .bits import RankSelectBits
 from .errors import BadParameter
 from .model import check_range
-from .util import ceil_log2
+from .util import ceil_log2, nbits
 
 _INF = np.int64(2**62)
 
@@ -188,30 +192,33 @@ class CountLessWavelet:
 
 
 class ColorReporter:
-    """Reports each distinct value of a range exactly once, output-sensitive.
+    """Reports each distinct value of a range exactly once.
 
     `positions(l, r)` returns the witness positions (first occurrence of each
     distinct value in [l, r), 0-based half-open); report/report_capped wrap it
     in the 1-based inclusive convention over the whole array.
     """
 
-    __slots__ = ("values", "pred", "tree")
+    __slots__ = ("values", "pred")
 
     def __init__(self, values, pred=None, groups=None):
         self.values = np.asarray(values)
         self.pred = (
             make_pred(self.values, groups) if pred is None else np.asarray(pred)
         )
-        self.tree = ArgminSegtree(self.pred)
 
     def positions(self, l: int, r: int, cap=None) -> list[int]:
-        out, _ = self.tree.walk_below(l, r, l, cap)
-        return out
+        """Ascending witness positions in [l, r); with cap, at most cap + 1
+        of them, so the caller can tell that more remain."""
+        pos = np.flatnonzero(self.pred[l:r] < l)
+        if cap is not None:
+            pos = pos[: cap + 1]
+        return (pos + l).tolist()
 
     def report(self, a: int, b: int) -> list[int]:
         """All distinct values in [a, b], 1-based inclusive."""
         check_range(len(self.values), a, b)
-        return [int(self.values[i]) for i in self.positions(a - 1, b)]
+        return self.values[self.positions(a - 1, b)].tolist()
 
     def report_capped(self, a: int, b: int, cap: int):
         """Up to cap distinct values plus an exhaustiveness flag.
@@ -223,31 +230,25 @@ class ColorReporter:
         if cap < 1:
             raise BadParameter(f"cap must be >= 1, got {cap}")
         pos = self.positions(a - 1, b, cap=cap)
-        if len(pos) > cap:
-            return [int(self.values[i]) for i in pos[:cap]], True
-        return [int(self.values[i]) for i in pos], False
+        return self.values[pos[:cap]].tolist(), len(pos) > cap
 
     def measured_bits(self) -> int:
-        return self.pred.nbytes * 8 + self.tree.measured_bits()
+        return nbits(self.values, self.pred)
 
 
 class ColorCounter:
-    """Counts distinct values in a range in logarithmic time."""
+    """Counts distinct values in a range with one scan of pred."""
 
-    __slots__ = ("n", "pred", "wav")
+    __slots__ = ("n", "pred")
 
     def __init__(self, values, pred=None, groups=None):
         values = np.asarray(values)
         self.n = len(values)
         self.pred = make_pred(values, groups) if pred is None else np.asarray(pred)
-        # shift so the -1 sentinel becomes 0; domain is then n + 1
-        self.wav = CountLessWavelet(
-            self.pred.astype(np.int64) + 1, domain=self.n + 1
-        )
 
     def count_range(self, l: int, r: int) -> int:
         """Distinct values in [l, r), 0-based half-open."""
-        return self.wav.count_less(l, r, l + 1)
+        return int(np.count_nonzero(self.pred[l:r] < l))
 
     def count(self, a: int, b: int) -> int:
         """Distinct values in [a, b], 1-based inclusive."""
@@ -255,4 +256,4 @@ class ColorCounter:
         return self.count_range(a - 1, b)
 
     def measured_bits(self) -> int:
-        return self.pred.nbytes * 8 + self.wav.measured_bits()
+        return nbits(self.pred)

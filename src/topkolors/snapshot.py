@@ -28,7 +28,7 @@ import numpy as np
 
 from .chunked import ChunkedParams, ChunkedTopK
 from .docs import DocumentCollection, DocumentIndex
-from .errors import ParseError, SnapshotCorrupt
+from .errors import BadParameter, ParseError, SnapshotCorrupt
 from .model import ColorArray, new_color_array
 from .optimal import OptimalTopK
 from .sparse import SparseTopK
@@ -92,7 +92,7 @@ def _array_from_payload(meta: dict, payload: bytes) -> ColorArray:
     """The saved ColorArray, held to the rules new_color_array applies."""
     for key in ("n", "sigma"):
         v = meta.get(key)
-        if type(v) is not int or v < 1:
+        if not _is_int(v) or v < 1:
             raise SnapshotCorrupt(
                 f"meta {key!r} must be a positive int, got {v!r}"
             )
@@ -181,25 +181,61 @@ def load_index(path: str):
         meta = json.loads(sections[0].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SnapshotCorrupt(f"meta section unreadable: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise SnapshotCorrupt("meta section is not a JSON object")
     if meta.get("kind") != kind:
         raise SnapshotCorrupt("meta kind disagrees with header byte")
     params = meta.get("params", {})
+    if not isinstance(params, dict):
+        raise SnapshotCorrupt("meta params is not a JSON object")
     if kind == "docs":
         docs = _docs_from_payload(sections[1])
         coll = DocumentCollection(docs)
-        weights = {j: w for j, w in enumerate(params["weights"])}
-        return kind, DocumentIndex(coll, weights, t_values=params["t_values"])
+        weights = _int_list(params, "weights")
+        if len(weights) != coll.num_docs:
+            raise SnapshotCorrupt(
+                f"{len(weights)} weights for {coll.num_docs} documents"
+            )
+        t_values = _int_list(params, "t_values")
+        try:
+            index = DocumentIndex(coll, dict(enumerate(weights)),
+                                  t_values=t_values)
+        except BadParameter as exc:
+            # save_index only writes params the constructor accepts
+            raise SnapshotCorrupt(f"docs params rejected: {exc}") from exc
+        return kind, index
     arr = _array_from_payload(meta, sections[1])
     if kind == "wavelet":
         return kind, WaveletTopK(arr)
     if kind == "sparse":
-        return kind, SparseTopK(arr, f=params["f"])
+        f = params.get("f")
+        if not _is_int(f) or f < 2:
+            raise SnapshotCorrupt(f"params 'f' must be an int >= 2, got {f!r}")
+        return kind, SparseTopK(arr, f=f)
     if kind == "optimal":
         # older snapshots carry the removed grid parameters; ignore them
         return kind, OptimalTopK(arr)
-    return kind, ChunkedTopK(
-        arr, ChunkedParams(chunk_len_override=params["chunk_len_override"])
-    )
+    # null means no override; a missing key reads as False, which is corrupt
+    override = params.get("chunk_len_override", False)
+    if override is not None and (not _is_int(override) or override < 1):
+        raise SnapshotCorrupt(
+            "params 'chunk_len_override' must be null or an int >= 1, "
+            f"got {override!r}"
+        )
+    return kind, ChunkedTopK(arr, ChunkedParams(chunk_len_override=override))
+
+
+def _is_int(v) -> bool:
+    """A JSON integer: bool is an int subclass in Python but not here."""
+    return type(v) is int
+
+
+def _int_list(params: dict, key: str) -> list[int]:
+    """params[key], which must be a list of ints."""
+    v = params.get(key)
+    if not isinstance(v, list) or not all(_is_int(x) for x in v):
+        raise SnapshotCorrupt(f"params {key!r} must be a list of ints")
+    return v
 
 
 def parse_array_text(text: str) -> ColorArray:

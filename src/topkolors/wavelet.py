@@ -10,8 +10,8 @@ The rank range is padded to a power of two; padding ranks never occur in the
 array, so their subtrees receive empty intervals and are never reported.
 
 Shared level structures: all nodes of one level are concatenated into a
-single array, and one reporter plus one counter (built with group-local
-predecessors) serves every node of that level.
+single array, and one reporter plus one counter (sharing one group-local
+predecessor array, scanned per query) serves every node of that level.
 
 Query walk for top K: at each node, map the interval into the right (higher
 priority) child and count its distinct colors m.  If m exceeds K, the answer
@@ -106,8 +106,7 @@ class WaveletTopK:
             return [node]
         rep = self._reporters[level]
         base = int(self._offsets[level][node])
-        pos = rep.positions(base + a - 1, base + b)
-        return [int(rep.values[i]) for i in pos]
+        return rep.values[rep.positions(base + a - 1, base + b)].tolist()
 
     def topk(self, a: int, b: int, k: int, trace=None) -> ColorList:
         check_range(self.n, a, b, k)
@@ -149,6 +148,6 @@ class WaveletTopK:
     def measured_bits(self) -> int:
         total = nbits(*self._perms, *self._offsets)
         total += sum(bv.measured_bits() for bv in self._bits)
+        # each level's counter shares its reporter's pred array
         total += sum(r.measured_bits() for r in self._reporters.values())
-        total += sum(c.measured_bits() for c in self._counters.values())
         return total

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from topkolors.chunked import ChunkedParams, ChunkedTopK
+from topkolors.chunked import _WORD_TABLE_CAP, ChunkedParams, ChunkedTopK
 from topkolors.errors import BadParameter, InvalidRange
 from topkolors.model import new_color_array, oracle_topk
 
@@ -151,3 +151,24 @@ def test_random_oracle_both_regimes():
             assert ix.topk(edge, min(edge + 1, n), 2) == oracle_topk(
                 arr, edge, min(edge + 1, n), 2
             )
+
+
+def test_word_table_is_bounded():
+    # enough distinct narrow queries at sigma = 4 to fill the memo table
+    rng = np.random.default_rng(12)
+    n = 1 << 17
+    arr = random_array(rng, n, 4)
+    ix = ChunkedTopK(arr)
+    assert ix.regime == "packed"
+    sizes = []
+    for t in range(12000):
+        a = int(rng.integers(1, n - 63))
+        b = a + int(rng.integers(0, 64))
+        got = ix.topk(a, b, 3)
+        sizes.append(len(ix._word_table))
+        if t % 50 == 0:
+            assert got == oracle_topk(arr, a, b, 3)
+    assert max(sizes) <= _WORD_TABLE_CAP
+    # the table filled up and started over at least once
+    assert max(sizes) > _WORD_TABLE_CAP - 3
+    assert any(y < x for x, y in zip(sizes, sizes[1:]))

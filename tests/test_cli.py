@@ -339,3 +339,85 @@ def test_hostile_array_snapshot_is_corrupt(tmp_path, capsys, meta_edit,
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("error: ")
+
+
+DOCS_PARAMS = {"weights": [3, 9, 5], "t_values": [1, 2]}
+
+
+def docs_meta(**edit):
+    params = dict(DOCS_PARAMS)
+    for key, value in edit.items():
+        if value is None:
+            del params[key]
+        else:
+            params[key] = value
+    return {"kind": "docs", "params": params}
+
+
+@pytest.mark.parametrize(
+    "kind, meta",
+    [
+        ("docs", docs_meta(weights=None)),
+        ("docs", docs_meta(weights="3 9 5")),
+        ("docs", docs_meta(weights=[3, "9", 5])),
+        ("docs", docs_meta(weights=[3, 9.5, 5])),
+        ("docs", docs_meta(weights=[3, True, 5])),
+        ("docs", docs_meta(weights=[3, 9])),
+        ("docs", docs_meta(weights=[3, 9, 5, 1])),
+        ("docs", docs_meta(weights=[3, -(2**63), 5])),
+        ("docs", docs_meta(t_values=None)),
+        ("docs", docs_meta(t_values=[1, "x"])),
+        ("docs", docs_meta(t_values=[0, 1])),
+        ("docs", docs_meta(t_values=2)),
+        ("docs", ["docs", DOCS_PARAMS]),
+        ("docs", {"kind": "docs", "params": [DOCS_PARAMS]}),
+        ("sparse", ["sparse", {"f": 2}]),
+        ("sparse", dict(CANON_META, params={})),
+        ("sparse", dict(CANON_META, params={"f": "2"})),
+        ("sparse", dict(CANON_META, params={"f": 2.0})),
+        ("sparse", dict(CANON_META, params={"f": 1})),
+        ("chunked", dict(CANON_META, kind="chunked", params={})),
+        ("chunked", dict(CANON_META, kind="chunked",
+                         params={"chunk_len_override": "4"})),
+        ("chunked", dict(CANON_META, kind="chunked",
+                         params={"chunk_len_override": 4.0})),
+        ("chunked", dict(CANON_META, kind="chunked",
+                         params={"chunk_len_override": False})),
+    ],
+    ids=["no-weights", "string-weights", "string-weight", "float-weight",
+         "bool-weight", "short-weights", "long-weights", "int64-min-weight",
+         "no-t-values",
+         "string-t", "zero-t", "int-t-values", "list-meta-docs",
+         "list-params", "list-meta-sparse", "no-f", "string-f", "float-f",
+         "f-one", "no-override", "string-override", "float-override",
+         "bool-override"],
+)
+def test_hostile_snapshot_params_are_corrupt(tmp_path, capsys, kind, meta):
+    if kind == "docs":
+        payload = b"".join(len(d).to_bytes(4, "little") + d
+                           for d in (b"abab", b"bab", b"ca"))
+        query = ["--pattern", "ab", "--k", "2"]
+    else:
+        arr = canon()
+        payload = (np.asarray(arr.colors, dtype="<i4").tobytes()
+                   + np.asarray(arr.priority_of, dtype="<i8").tobytes())
+        query = ["--range", "1", "8", "2"]
+    snap = tmp_path / "bad.snap"
+    snap.write_bytes(_pack_sections(KIND_BYTES[kind],
+                                    [json.dumps(meta).encode(), payload]))
+    assert cli.main(["stats", "--snapshot", str(snap)]) == 5
+    assert cli.main(["query", "--snapshot", str(snap)] + query) == 5
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ")
+
+
+def test_build_with_value_outside_int64_exits_3(tmp_path, capsys):
+    arr_text = write(tmp_path, "big.txt", f"1 1\n0\n{2**63}\n")
+    corpus = write(tmp_path, "low.txt", f"2 {-(2**63)} 2\nab\nba\n")
+    for kind, inp in (("optimal", arr_text), ("docs", corpus)):
+        assert cli.main(["build", "--kind", kind, "--input", inp,
+                         "--output", str(tmp_path / "out.snap")]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "outside int64" in err or "must lie in" in err

@@ -239,3 +239,13 @@ def test_merger_seeding_discards_low_heads():
     # five singleton ranges, only two seats: heads 9 and 7 win
     got = merge_ranges_topk(ix, [(1, 1), (2, 2), (3, 3), (5, 5), (6, 6)], 2)
     assert got == [(2, 9), (4, 7)]
+
+
+def test_weights_outside_int64_are_bad_parameter():
+    coll = DocumentCollection(["ab", "ba"])
+    # the separator dummy sits at min - 1, which -2^63 pushes out of int64
+    for weights in ({0: -(2**63), 1: 2}, {0: 2**63, 1: 2}):
+        with pytest.raises(BadParameter):
+            DocumentIndex(coll, weights)
+    ix = DocumentIndex(coll, {0: -(2**63) + 1, 1: 2**63 - 1})
+    assert ix.ranked_list("a", 2) == [(1, 2**63 - 1), (0, -(2**63) + 1)]

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topkolors import (
+    BadParameter,
     ColorNotInSet,
     ColorOutOfRange,
     EmptyArray,
@@ -115,3 +116,20 @@ def test_ranks_are_a_permutation(arr):
     assert keys == sorted(keys)
     r = arr.ranks()
     assert r.dtype == np.int32 and len(r) == arr.n
+
+
+def test_values_outside_int64_are_topk_errors():
+    for p in (2**63, -(2**63) - 1):
+        with pytest.raises(BadParameter):
+            new_color_array([0], {0: p})
+    assert new_color_array([0], {0: 2**63 - 1}).priority_of[0] == 2**63 - 1
+    with pytest.raises(ColorOutOfRange):
+        new_color_array([0, 2**63], {0: 1, 1: 2})
+
+
+def test_list_from_ranks_gives_python_ints():
+    arr = new_color_array(A, P)
+    got = arr.list_from_ranks([3, 1])
+    assert got == [(2, 7), (0, 4)]
+    assert all(type(v) is int for entry in got for v in entry)
+    assert arr.list_from_ranks([]) == []

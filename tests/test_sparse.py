@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from topkolors import new_color_array, oracle_topk
 from topkolors.errors import BadParameter, OutOfBounds
-from topkolors.sparse import SparseTopK
+from topkolors.sparse import SparseTopK, _SparseCore
 
 A = [2, 0, 1, 0, 2, 1, 3, 2]
 P = {0: 4, 1: 2, 2: 7, 3: 5}
@@ -39,6 +39,13 @@ def test_canonical_queries():
         assert ix.topk(2, 6, 2) == [(2, 7), (0, 4)]
         assert ix.topk(1, 8, 10) == [(2, 7), (3, 5), (0, 4), (1, 2)]
         assert ix.topk(3, 3, 1) == [(1, 2)]
+
+
+def test_huge_f_builds_every_level():
+    # every f past log2(n) gives stride 1; the level set must not loop to f
+    ix = SparseTopK(new_color_array(A, P), f=10**12)
+    assert ix.levels == [0, 1, 2]
+    assert ix.topk(2, 6, 2) == [(2, 7), (0, 4)]
 
 
 def test_degenerate_single_color():
@@ -111,3 +118,77 @@ def test_exhaustive_small_both_f():
                 for b in range(a, n + 1):
                     for k in (1, 2, sigma, n):
                         assert ix.topk(a, b, k) == oracle_topk(arr, a, b, k)
+
+
+def random_surjective(rng, n, sigma):
+    colors = list(range(sigma)) + list(rng.integers(0, sigma, n - sigma))
+    rng.shuffle(colors)
+    return new_color_array(colors, dict(enumerate(rng.permutation(sigma) + 1)))
+
+
+def test_batched_mapping_matches_map_child():
+    rng = np.random.default_rng(23)
+    for n, sigma in [(500, 64), (300, 200), (64, 5)]:
+        arr = random_surjective(rng, n, sigma)
+        for f in (2, 3):
+            core = SparseTopK(arr, f=f).core
+            for li in range(len(core.levels) - 1):
+                fan = core.levels[li + 1] - core.levels[li]
+                off = core._off[li - 1] if li else np.array([0, n])
+                off_c = core._off[li]
+                for _ in range(20):
+                    node = int(rng.integers(0, len(off) - 1))
+                    size = int(off[node + 1] - off[node])
+                    if size == 0:
+                        continue
+                    a = int(rng.integers(1, size + 1))
+                    b = int(rng.integers(a, size + 1))
+                    lo = int(rng.integers(0, 1 << fan))
+                    hi = int(rng.integers(lo + 1, (1 << fan) + 1))
+                    L, R = core.map_children(li, node, a, b, lo, hi)
+                    assert len(L) == len(R) == hi - lo
+                    for t, j in enumerate(range(hi - 1, lo - 1, -1)):
+                        u = (node << fan) + j
+                        base = int(off_c[u])
+                        got = ((int(L[t]) - base + 1, int(R[t]) - base)
+                               if R[t] > L[t] else (1, 0))
+                        assert got == core.map_child(li, u, a, b)
+
+
+def test_keys_are_int32_when_they_fit():
+    rng = np.random.default_rng(29)
+    n, sigma = 1 << 18, 4096
+    colors = rng.integers(0, sigma, size=n)
+    colors[:sigma] = np.arange(sigma)
+    core = _SparseCore(colors.astype(np.int32), sigma, 2)
+    assert core.levels == [0, 9, 12]
+    assert [e.dtype for e in core._E] == [np.int32, np.int32]
+
+
+def test_int64_key_path_matches_oracle():
+    # root fan-out 2^11 times (2^22 + 1) keys do not fit int32
+    rng = np.random.default_rng(31)
+    n, sigma = 1 << 22, 1 << 12
+    colors = rng.integers(0, sigma, size=n)
+    colors[rng.choice(n, size=sigma, replace=False)] = np.arange(sigma)
+    arr = new_color_array(colors, dict(enumerate(rng.permutation(sigma).tolist())))
+    del colors
+    ix = SparseTopK(arr, f=2)
+    assert ix.levels == [0, 11, 12]
+    assert [e.dtype for e in ix.core._E] == [np.int64, np.int32]
+    for a, b, k in [(1, n, 16), (n // 3, n // 3 + 63, 16), (5, n // 2, 1024),
+                    (n - 9, n, 3)]:
+        assert ix.topk(a, b, k) == oracle_topk(arr, a, b, k)
+
+
+def test_measured_bits_counts_every_array_once():
+    rng = np.random.default_rng(37)
+    for n, sigma, f in [(500, 64, 2), (300, 200, 3), (40, 1, 2)]:
+        core = SparseTopK(random_surjective(rng, n, sigma), f=f).core
+        held = {}
+        for slot in _SparseCore.__slots__:
+            value = getattr(core, slot)
+            for item in value if isinstance(value, (list, tuple)) else [value]:
+                if isinstance(item, np.ndarray):
+                    held[id(item)] = item
+        assert core.measured_bits() == sum(8 * a.nbytes for a in held.values())
