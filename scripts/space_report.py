@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
 """Bits-per-element table across array sizes and alphabet sizes.
 
-Prints one row per (n, sigma) cell for each requested index kind. The
-chunked structure is the interesting one here: its footprint should stay
-flat as n grows with sigma fixed.
+Prints one row per (n, sigma) cell for each requested index kind, every
+kind by default.
 
 Example:
     python3 scripts/space_report.py --log-ns 12 14 16 --sigmas 4 16 256
@@ -32,7 +31,7 @@ def make_array(rng, n, sigma):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--kinds", nargs="+", default=["chunked"],
+    ap.add_argument("--kinds", nargs="+", default=sorted(BUILDERS),
                     choices=sorted(BUILDERS))
     ap.add_argument("--log-ns", nargs="+", type=int, default=[12, 14, 16])
     ap.add_argument("--sigmas", nargs="+", type=int, default=[16])

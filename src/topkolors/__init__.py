@@ -1,6 +1,6 @@
 """Range top-K color reporting indexes and ranked document retrieval."""
 
-from .chunked import ChunkedParams, ChunkedTopK
+from .chunked import ChunkedTopK
 from .docs import (
     DocumentCollection,
     DocumentIndex,
@@ -43,7 +43,6 @@ from .wavelet import WaveletTopK
 
 __all__ = [
     "BadParameter",
-    "ChunkedParams",
     "ChunkedTopK",
     "ColorArray",
     "ColorList",

@@ -13,7 +13,13 @@ import sys
 import numpy as np
 
 from .docs import DocumentIndex, naive_ranked_list, naive_t_mine
-from .errors import KindMismatch, ParseError, SnapshotCorrupt, TopKError
+from .errors import (
+    BadParameter,
+    KindMismatch,
+    ParseError,
+    SnapshotCorrupt,
+    TopKError,
+)
 from .model import oracle_topk
 from .snapshot import (
     KIND_BYTES,
@@ -159,6 +165,10 @@ def _verify_docs(index: DocumentIndex, trials: int, seed: int) -> int:
 
 
 def _cmd_verify(args) -> int:
+    for name in ("trials", "seed"):
+        value = getattr(args, name)
+        if value < 0:
+            raise BadParameter(f"--{name} must be >= 0, got {value}")
     kind, index = load_index(args.snapshot)
     if kind == "docs":
         return _verify_docs(index, args.trials, args.seed)
@@ -184,10 +194,6 @@ def _cmd_stats(args) -> int:
     if kind == "sparse":
         lines["f"] = index.f
         lines["levels"] = ",".join(str(v) for v in index.core.levels)
-    elif kind == "chunked":
-        lines["regime"] = index.regime
-        lines["chunk_len"] = index.chunk_len
-        lines["num_chunks"] = index.num_chunks
     for key, value in lines.items():
         print(f"#stat {key}={value}")
     return 0

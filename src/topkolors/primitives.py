@@ -17,15 +17,14 @@ id per position.  Predecessors then never cross a segment boundary, and a
 query for segment range [l, r) with threshold l is correct with global
 indices, so one structure serves every segment of a level.
 
-ArgminSegtree and CountLessWavelet are the logarithmic alternatives over
-pred, kept as standalone structures.
+ArgminSegtree is the logarithmic alternative over pred, kept as a
+standalone structure.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bits import RankSelectBits
 from .errors import BadParameter
 from .model import check_range
 from .util import ceil_log2, nbits
@@ -137,58 +136,6 @@ class ArgminSegtree:
 
     def measured_bits(self) -> int:
         return self.arg.nbytes * 8
-
-
-class CountLessWavelet:
-    """Counts values strictly below a threshold in any half-open range.
-
-    A wavelet tree over the (non-negative) values: one rank bitvector per bit
-    of the domain, descending most-significant first.
-    """
-
-    __slots__ = ("n", "height", "_cap", "levels")
-
-    def __init__(self, values, domain=None):
-        values = np.asarray(values, dtype=np.int64)
-        self.n = len(values)
-        if self.n and int(values.min()) < 0:
-            raise BadParameter("counting wavelet requires non-negative values")
-        dom = int(domain) if domain is not None else (
-            int(values.max()) + 1 if self.n else 1
-        )
-        self.height = ceil_log2(max(dom, 1))
-        self._cap = 1 << self.height
-        self.levels = []
-        cur = values
-        for d in range(self.height - 1, -1, -1):
-            b = ((cur >> d) & 1).astype(np.uint8)
-            self.levels.append(RankSelectBits(b))
-            cur = np.concatenate([cur[b == 0], cur[b == 1]])
-
-    def count_less(self, l: int, r: int, x: int) -> int:
-        if x <= 0 or l >= r:
-            return 0
-        if x >= self._cap:
-            return r - l
-        res = 0
-        for d in range(self.height - 1, -1, -1):
-            bv = self.levels[self.height - 1 - d]
-            ones_l = bv.rank1(l)
-            ones_r = bv.rank1(r)
-            if (x >> d) & 1:
-                res += (r - l) - (ones_r - ones_l)
-                zeros = bv.n - bv.ones
-                l = zeros + ones_l
-                r = zeros + ones_r
-            else:
-                l -= ones_l
-                r -= ones_r
-            if l >= r:
-                break
-        return res
-
-    def measured_bits(self) -> int:
-        return sum(bv.measured_bits() for bv in self.levels)
 
 
 class ColorReporter:

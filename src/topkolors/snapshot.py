@@ -26,7 +26,7 @@ import zlib
 
 import numpy as np
 
-from .chunked import ChunkedParams, ChunkedTopK
+from .chunked import ChunkedTopK
 from .docs import DocumentCollection, DocumentIndex
 from .errors import BadParameter, ParseError, SnapshotCorrupt
 from .model import ColorArray, new_color_array
@@ -145,7 +145,8 @@ def save_index(path: str, index) -> None:
     elif isinstance(index, OptimalTopK):
         kind, params = "optimal", {}
     elif isinstance(index, ChunkedTopK):
-        kind, params = "chunked", {"chunk_len_override": index.chunk_len_override}
+        # the chunk length override is gone; the key stays for old readers
+        kind, params = "chunked", {"chunk_len_override": None}
     elif isinstance(index, DocumentIndex):
         kind = "docs"
         params = {
@@ -215,14 +216,16 @@ def load_index(path: str):
     if kind == "optimal":
         # older snapshots carry the removed grid parameters; ignore them
         return kind, OptimalTopK(arr)
-    # null means no override; a missing key reads as False, which is corrupt
+    # a missing key reads as False, which is corrupt; a valid override from
+    # an older snapshot pinned a chunk length that no longer exists, so it
+    # is ignored
     override = params.get("chunk_len_override", False)
     if override is not None and (not _is_int(override) or override < 1):
         raise SnapshotCorrupt(
             "params 'chunk_len_override' must be null or an int >= 1, "
             f"got {override!r}"
         )
-    return kind, ChunkedTopK(arr, ChunkedParams(chunk_len_override=override))
+    return kind, ChunkedTopK(arr)
 
 
 def _is_int(v) -> bool:

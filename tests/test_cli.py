@@ -231,6 +231,20 @@ def test_cli_verify_catches_seeded_mismatch(tmp_path, capsys, monkeypatch):
     assert "mismatch" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--trials", "-5")])
+def test_cli_verify_rejects_negative_seed_and_trials(tmp_path, capsys, flag,
+                                                     value):
+    inp = write(tmp_path, "arr.txt", CANON_TEXT)
+    snap = str(tmp_path / "arr.snap")
+    cli.main(["build", "--kind", "chunked", "--input", inp, "--output", snap])
+    capsys.readouterr()
+    assert cli.main(["verify", "--snapshot", snap, flag, value]) == 3
+    captured = capsys.readouterr()
+    assert "verify: ok" not in captured.out
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 def test_module_entry_point_runs(tmp_path):
     inp = tmp_path / "arr.txt"
     inp.write_text(CANON_TEXT)
@@ -299,6 +313,27 @@ def test_optimal_snapshot_with_grid_params_still_loads(tmp_path, capsys):
                 assert ix.topk(a, b, k) == oracle_topk(arr, a, b, k)
     assert cli.main(["stats", "--snapshot", snap]) == 0
     assert "#stat kind=optimal\n" in capsys.readouterr().out
+
+
+def test_chunked_snapshot_with_chunk_len_override_still_loads(tmp_path):
+    # older chunked snapshots could pin a chunk length; the value is ignored
+    rng = np.random.default_rng(6)
+    raw = rng.integers(0, 5, size=40)
+    _, dense = np.unique(raw, return_inverse=True)
+    sig = int(dense.max()) + 1
+    arr = new_color_array(dense, {c: int(p) for c, p in
+                                  enumerate(rng.integers(0, 30, sig))})
+    meta = {"kind": "chunked", "params": {"chunk_len_override": 7},
+            "n": arr.n, "sigma": arr.sigma}
+    snap = seal_array(tmp_path / "old.snap", "chunked", meta,
+                      arr.colors, arr.priority_of)
+    kind, ix = load_index(snap)
+    assert kind == "chunked"
+    assert isinstance(ix, ChunkedTopK)
+    for a in range(1, arr.n + 1):
+        for b in range(a, arr.n + 1):
+            for k in (1, 2, 3, sig + 1):
+                assert ix.topk(a, b, k) == oracle_topk(arr, a, b, k), (a, b, k)
 
 
 CANON_META = {"kind": "sparse", "params": {"f": 2}, "n": 8, "sigma": 4}

@@ -8,7 +8,6 @@ from topkolors.primitives import (
     ArgminSegtree,
     ColorCounter,
     ColorReporter,
-    CountLessWavelet,
     make_pred,
 )
 from topkolors.util import ceil_log2
@@ -82,16 +81,6 @@ def test_walk_visit_bound():
         assert visited <= (2 * len(out) + 2) * h
 
 
-def test_count_less_wavelet_edges():
-    w = CountLessWavelet([0, 0, 0], domain=1)
-    assert w.count_less(0, 3, 1) == 3
-    assert w.count_less(0, 3, 0) == 0
-    w = CountLessWavelet([], domain=5)
-    assert w.count_less(0, 0, 3) == 0
-    with pytest.raises(BadParameter):
-        CountLessWavelet([-1, 2])
-
-
 @given(
     st.lists(st.integers(0, 12), min_size=1, max_size=200),
     st.data(),
@@ -111,19 +100,6 @@ def test_against_scans(vals, data):
     assert more == (len(want) > cap)
     assert len(got) == min(cap, len(want))
     assert set(got) <= want and len(set(got)) == len(got)
-
-
-@given(
-    st.lists(st.integers(0, 30), min_size=1, max_size=150),
-    st.data(),
-)
-@settings(max_examples=60)
-def test_count_less_matches_scan(vals, data):
-    w = CountLessWavelet(vals)
-    l = data.draw(st.integers(0, len(vals)))
-    r = data.draw(st.integers(l, len(vals)))
-    x = data.draw(st.integers(-2, 33))
-    assert w.count_less(l, r, x) == sum(1 for v in vals[l:r] if v < x)
 
 
 def test_grouped_reporter_shared_across_segments():
