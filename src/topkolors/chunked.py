@@ -45,7 +45,7 @@ class ChunkedTopK:
     def __init__(self, arr: ColorArray):
         self.arr = arr
         self.n = arr.n
-        self._core = _SparseCore(arr.ranks(), arr.sigma, 2)
+        self._core = _SparseCore(arr, 2)
         # stays until the benchmark retires its chunked.* tracing hooks
         self.last_path = "core"
         # stays until the benchmark retires its chunked.* tracing hooks

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 verification mismatch, 2 unparsable input,
 3 bad parameter or invalid query, 4 file system trouble, 5 corrupt
-snapshot, 6 operation not applicable to the snapshot's kind.
+snapshot, 6 operation not applicable to the snapshot's kind, 7 internal
+error (any other exception: a bug in this package, reported as one
+"error: internal:" line rather than a traceback).
 """
 
 from __future__ import annotations
@@ -224,6 +226,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 7
 
 
 if __name__ == "__main__":

@@ -7,7 +7,10 @@ once N >= 2^24, so at every size this package can build the hierarchy is
 empty and every query goes to its global fallback.  OptimalTopK is that
 fallback alone: a _SparseCore with f=2 over the per-position priority
 ranks, answering in rank space and converting back to (color, priority)
-pairs at the end.
+pairs at the end.  A range no wider than the root's fan-out (512 positions
+at sigma = 4096 and N = 2^18) is answered by sorting its own ranks, read
+from the ColorArray the index already holds, so that rule stores nothing
+new; wider ranges take the greedy top-k descent.
 
 two_list_union, the paper's merge of two candidate lists, is kept as a
 public helper over ColorLists.
@@ -48,7 +51,7 @@ class OptimalTopK:
     def __init__(self, arr: ColorArray):
         self.arr = arr
         self.n = arr.n
-        self._global = _SparseCore(arr.ranks(), arr.sigma, 2)
+        self._global = _SparseCore(arr, 2)
 
     def topk(self, a: int, b: int, k: int) -> ColorList:
         check_range(self.n, a, b, k)

@@ -17,11 +17,20 @@ children is mapped with one searchsorted over a vector of needles, two per
 child.  Keys are int32 when 2^fanout * (n + 1) < 2^31 and int64 otherwise;
 needles share the keys' dtype, so numpy never casts the haystack.
 
-A query walks important levels top-down.  At a node, children are mapped
-in batches from the highest priority down, each batch twice as large as the
-one before.  Of the non-empty mapped children, the shortest prefix whose
-size bound min(size, 2^(height - level)) reaches the remaining budget is
-counted by one scan of pred (a value occurs in [L, R) iff one of its
+A query no wider than the root's fan-out (b - a + 1 <= 2^levels[1]) is
+answered from its own ranks: the core reads rank_of[colors[a-1:b]] from the
+ColorArray it was built over, sorts those values and returns the k highest
+distinct ones.  The range then holds no more elements than the root has
+children, and mapping it into them takes a few batches of numpy calls
+where one sort does.  The core keeps a reference to the array, not a copy
+of its ranks, so the rule stores nothing new.  WaveletTopK, whose root
+fan-out is 2, does not use it.
+
+Any wider query walks important levels top-down.  At a node, children are
+mapped in batches from the highest priority down, each batch twice as large
+as the one before.  Of the non-empty mapped children, the shortest prefix
+whose size bound min(size, 2^(height - level)) reaches the remaining budget
+is counted by one scan of pred (a value occurs in [L, R) iff one of its
 positions there has pred < L).  Children that fit the budget are reported
 wholesale from the same scan, and the first child that overshoots is
 entered.  Larger f means fewer levels (less space) but wider scans.  This
@@ -29,9 +38,9 @@ is the chaining idea of Muthukrishnan (SODA 2002) with the range-minimum
 walk replaced by a vectorized pass, driven by the greedy top-k descent of
 Gagie, Navarro and Puglisi (TCS 2012).
 
-_SparseCore works purely in rank space (an int array of priority ranks dense
-in [0, sigma_dom)), so block structures with remapped color universes can
-reuse it; SparseTopK wraps it over a ColorArray.
+_SparseCore is built over a ColorArray and answers in rank space (ranks
+dense in [0, sigma)); SparseTopK, OptimalTopK and ChunkedTopK turn its ranks
+back into (color, priority) pairs.
 """
 
 from __future__ import annotations
@@ -50,18 +59,19 @@ _FIRST_BATCH = 16
 
 class _SparseCore:
     __slots__ = (
-        "n", "f", "sigma_dom", "height", "levels",
+        "n", "f", "height", "levels", "_arr",
         "_E", "_off", "_vals", "_pred", "last_visited",
     )
 
-    def __init__(self, ranks, sigma_dom: int, f: int):
+    def __init__(self, arr: ColorArray, f: int):
         if f < 2:
             raise BadParameter(f"level sparsification needs f >= 2, got {f}")
-        ranks = np.asarray(ranks, dtype=np.int32)
+        # the array, not a copy of its ranks: the root-width scan reads it
+        self._arr = arr
+        ranks = arr.ranks()
         n = self.n = len(ranks)
         self.f = f
-        self.sigma_dom = sigma_dom
-        height = self.height = ceil_log2(sigma_dom)
+        height = self.height = ceil_log2(arr.sigma)
         stride = max(1, floor_log2(max(n, 1)) // f)
         # every multiple past the height clips to it, so stop there
         steps = min(f + 1, -(-height // stride))
@@ -205,11 +215,23 @@ class _SparseCore:
 
     def topk_ranks(self, a: int, b: int, k: int) -> list[int]:
         """Ranks of the top-k colors of [a, b] (1-based), highest first."""
+        if len(self.levels) > 1 and b - a < 1 << self.levels[1]:
+            # no wider than the root's fan-out: reading the range costs
+            # less than mapping it into the root's children
+            self.last_visited = b - a + 1
+            arr = self._arr
+            r = arr.rank_of[arr.colors[a - 1 : b]]
+            r.sort()
+            # keep the last of each run of equal ranks
+            last = np.empty(len(r), dtype=bool)
+            last[-1] = True
+            np.not_equal(r[1:], r[:-1], out=last[:-1])
+            return r[last][: -k - 1 : -1].tolist()
         self.last_visited = 0
         out: list[int] = []
         self._descend(a, b, k, out)
         if len(out) >= _BUCKET_SORT_MIN:
-            mark = np.zeros(self.sigma_dom, dtype=bool)
+            mark = np.zeros(self._arr.sigma, dtype=bool)
             mark[out] = True
             return np.flatnonzero(mark)[::-1].tolist()
         return sorted(out, reverse=True)
@@ -223,7 +245,7 @@ class SparseTopK:
         self.arr = arr
         self.n = arr.n
         self.f = f
-        self.core = _SparseCore(arr.ranks(), arr.sigma, f)
+        self.core = _SparseCore(arr, f)
         # each element lives in one array per important level; the leaf level
         # can exceed the f+1 regular ones when the stride does not divide the
         # tree height

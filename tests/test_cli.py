@@ -1,9 +1,16 @@
+import functools
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topkolors import cli
 from topkolors.chunked import ChunkedTopK
@@ -14,6 +21,7 @@ from topkolors.optimal import OptimalTopK
 from topkolors.snapshot import (
     KIND_BYTES,
     _pack_sections,
+    _unpack_sections,
     load_index,
     parse_array_text,
     parse_corpus_text,
@@ -456,3 +464,103 @@ def test_build_with_value_outside_int64_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "outside int64" in err or "must lie in" in err
+
+
+def test_internal_error_exits_7_without_traceback(tmp_path, capsys,
+                                                  monkeypatch):
+    inp = write(tmp_path, "arr.txt", CANON_TEXT)
+    snap = str(tmp_path / "arr.snap")
+    cli.main(["build", "--kind", "optimal", "--input", inp, "--output", snap])
+    capsys.readouterr()
+
+    def broken(args):
+        raise RuntimeError("handler fell over")
+
+    monkeypatch.setattr(cli, "_cmd_stats", broken)
+    assert cli.main(["stats", "--snapshot", snap]) == 7
+    err = capsys.readouterr().err
+    assert err == "error: internal: RuntimeError: handler fell over\n"
+    assert "Traceback" not in err
+
+
+FUZZ_KINDS = ("optimal", "sparse", "chunked", "docs")
+
+
+@functools.cache
+def valid_sections(kind):
+    """Meta dict and payload of a small snapshot that save_index wrote."""
+    if kind == "docs":
+        index = DocumentIndex(*parse_corpus_text(CORPUS_TEXT), t_values=[1, 2])
+    else:
+        index = {"optimal": OptimalTopK, "sparse": SparseTopK,
+                 "chunked": ChunkedTopK}[kind](canon())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.snap")
+        save_index(path, index)
+        with open(path, "rb") as fh:
+            _, (meta, payload) = _unpack_sections(fh.read())
+    return json.loads(meta), payload
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4)
+    | st.sampled_from([0, 1, 2, 3, 8, -1, 2**31, 2**63 - 1, 2**63, -(2**63),
+                       10**30]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def hostile_snapshots(draw):
+    """A snapshot with some meta values and payload bytes replaced, sealed
+    with a valid CRC, and the query arguments that suit its kind."""
+    kind = draw(st.sampled_from(FUZZ_KINDS))
+    meta, payload = valid_sections(kind)
+    meta = json.loads(json.dumps(meta))
+    for _ in range(draw(st.integers(0, 3))):
+        params = meta.get("params")
+        on_params = isinstance(params, dict) and draw(st.booleans())
+        target = params if on_params else meta
+        key = draw(st.sampled_from(sorted(target) + ["extra"]))
+        if draw(st.integers(0, 4)) == 0:
+            target.pop(key, None)
+        else:
+            target[key] = draw(json_values)
+    payload = bytearray(payload)
+    for _ in range(draw(st.integers(0, 4))):
+        if not payload:
+            break
+        pos = draw(st.integers(0, len(payload) - 1))
+        payload[pos] = draw(st.integers(0, 255))
+    cut = draw(st.integers(-4, 4))
+    if cut < 0:
+        del payload[cut:]
+    else:
+        payload += bytes(cut)
+    blob = _pack_sections(KIND_BYTES[kind],
+                          [json.dumps(meta).encode(), bytes(payload)])
+    if kind == "docs":
+        query = ["--pattern", "ab", "--k", "2", "--t", "2"]
+    else:
+        query = ["--range", "1", "8", "2"]
+    return blob, query
+
+
+@given(hostile_snapshots())
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_snapshots_exit_with_documented_codes(case):
+    blob, query = case
+    with tempfile.TemporaryDirectory() as tmp:
+        snap = os.path.join(tmp, "fuzz.snap")
+        with open(snap, "wb") as fh:
+            fh.write(blob)
+        for argv in (["stats", "--snapshot", snap],
+                     ["query", "--snapshot", snap] + query):
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = cli.main(argv)
+            assert code in (0, 3, 5, 6), (argv[0], code, err.getvalue())
+            assert "Traceback" not in err.getvalue()

@@ -249,3 +249,33 @@ def test_weights_outside_int64_are_bad_parameter():
             DocumentIndex(coll, weights)
     ix = DocumentIndex(coll, {0: -(2**63) + 1, 1: 2**63 - 1})
     assert ix.ranked_list("a", 2) == [(1, 2**63 - 1), (0, -(2**63) + 1)]
+
+
+def test_narrow_patterns_match_naive():
+    # marker "Q" + two upper-case letters occurs exactly occ times, spread
+    # over random documents of a-d; 300 documents give 301 colors and a
+    # root with 64 children, so up to 64 occurrences is the scan's side
+    rng = np.random.default_rng(35)
+    base = random_collection(rng, 300, 24, b"abcd")
+    docs = [bytearray(d) for d in base.docs]
+    markers = {}
+    for occ in range(1, 67):
+        m = markers[occ] = b"Q" + bytes([65 + occ // 26, 65 + occ % 26])
+        for j in rng.integers(0, 300, occ):
+            docs[j] += m
+    coll = DocumentCollection([bytes(d) for d in docs])
+    weights = {j: int(w) for j, w in enumerate(rng.integers(0, 50, 300))}
+    ix = DocumentIndex(coll, weights, t_values=[1, 2])
+    core = ix.index._global
+    assert 1 << core.levels[1] == 64
+    for occ, p in markers.items():
+        a, b = ix.pattern_range(p)
+        assert b - a + 1 == occ
+        for k in (1, 4, 300):
+            assert ix.ranked_list(p, k) == naive_ranked_list(
+                coll, weights, p, k)
+            if occ <= 64:
+                assert core.last_visited == occ
+            for t in (1, 2):
+                assert ix.t_mine(p, t, k) == naive_t_mine(
+                    coll, weights, p, t, k), (p, t, k)

@@ -1,11 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topkolors import new_color_array, oracle_topk
+from topkolors.chunked import ChunkedTopK
 from topkolors.errors import BadParameter, OutOfBounds
+from topkolors.model import ColorArray, oracle_distinct_count
+from topkolors.optimal import OptimalTopK
 from topkolors.sparse import SparseTopK, _SparseCore
+from topkolors.util import nbits
 
 A = [2, 0, 1, 0, 2, 1, 3, 2]
 P = {0: 4, 1: 2, 2: 7, 3: 5}
@@ -160,7 +166,8 @@ def test_keys_are_int32_when_they_fit():
     n, sigma = 1 << 18, 4096
     colors = rng.integers(0, sigma, size=n)
     colors[:sigma] = np.arange(sigma)
-    core = _SparseCore(colors.astype(np.int32), sigma, 2)
+    prio = np.arange(sigma, dtype=np.int64)
+    core = _SparseCore(ColorArray(colors.astype(np.int32), prio), 2)
     assert core.levels == [0, 9, 12]
     assert [e.dtype for e in core._E] == [np.int32, np.int32]
 
@@ -192,3 +199,62 @@ def test_measured_bits_counts_every_array_once():
                 if isinstance(item, np.ndarray):
                     held[id(item)] = item
         assert core.measured_bits() == sum(8 * a.nbytes for a in held.values())
+
+
+def root_width_cores(arr):
+    """Every wrapper of the core over arr, with the core it queries."""
+    out = []
+    for f in (2, 3):
+        ix = SparseTopK(arr, f=f)
+        out.append((ix, ix.core))
+    ix = OptimalTopK(arr)
+    out.append((ix, ix._global))
+    ix = ChunkedTopK(arr)
+    out.append((ix, ix._core))
+    return out
+
+
+def test_root_width_scan_matches_oracle_at_the_threshold():
+    rng = np.random.default_rng(41)
+    for n, sigma in [(2000, 300), (500, 64), (700, 7)]:
+        arr = random_surjective(rng, n, sigma)
+        for ix, core in root_width_cores(arr):
+            fan = 1 << core.levels[1]
+            for w in (fan - 1, fan, fan + 1):
+                if not 1 <= w <= n:
+                    continue
+                starts = {1, n - w + 1, int(rng.integers(1, n - w + 2))}
+                for a in sorted(starts):
+                    b = a + w - 1
+                    distinct = oracle_distinct_count(arr, a, b)
+                    for k in {1, max(1, distinct - 1), distinct, distinct + 5}:
+                        got = ix.topk(a, b, k)
+                        assert got == oracle_topk(arr, a, b, k), (w, a, k)
+                    if w <= fan:
+                        assert core.last_visited == w
+
+
+def test_root_width_scan_keeps_the_visit_bound():
+    rng = np.random.default_rng(5)
+    n, sigma = 256, 32
+    arr = random_surjective(rng, n, sigma)
+    for f in (2, 3):
+        ix = SparseTopK(arr, f=f)
+        bound = f * 2 ** (math.ceil(math.log2(n) / f) + 1)
+        fan = 1 << ix.levels[1]
+        for w in range(1, fan + 1):
+            a = int(rng.integers(1, n - w + 2))
+            ix.topk(a, a + w - 1, int(rng.integers(1, sigma + 1)))
+            assert ix.last_visited == w <= bound
+
+
+def test_measured_bits_are_the_core_arrays_only():
+    rng = np.random.default_rng(43)
+    arr = random_surjective(rng, 2000, 300)
+    for ix, core in root_width_cores(arr):
+        want = nbits(*core._E, *core._off, *core._vals, *core._pred)
+        assert ix.measured_bits() == want
+        fan = 1 << core.levels[1]
+        for w in (1, fan, fan + 1, arr.n):
+            ix.topk(1, w, 16)
+        assert ix.measured_bits() == want
