@@ -289,14 +289,20 @@ class DocumentIndex:
         return ColorList(out)
 
     def measured_bits(self) -> int:
-        total = nbits(self.suffix_array, self.arr.colors)
-        total += self.index.measured_bits()
-        total += sum(s.nbytes * 8 for s in self._occ_slots)
+        """Bits of every array the index holds, each counted once; the
+        collection it was built over is the caller's."""
+        total = nbits(self.suffix_array, *self._occ_slots)
+        total += _color_array_bits(self.arr) + self.index.measured_bits()
         for anchor in self._anchors.values():
             if anchor.slots is not None:
-                total += anchor.slots.nbytes * 8
+                total += nbits(anchor.slots, anchor.doc_of_loc)
+                total += _color_array_bits(anchor.index.arr)
                 total += anchor.index.measured_bits()
         return total
+
+
+def _color_array_bits(arr: ColorArray) -> int:
+    return nbits(arr.colors, arr.priority_of, arr.rank_of, arr.color_of_rank)
 
 
 def naive_ranked_list(collection, weights, pattern, k):

@@ -18,7 +18,9 @@ query for segment range [l, r) with threshold l is correct with global
 indices, so one structure serves every segment of a level.
 
 ArgminSegtree is the logarithmic alternative over pred, kept as a
-standalone structure.
+standalone structure.  make_pred, ColorCounter and ColorReporter serve only
+WaveletTopK: the sparse core keeps no pred array, and finds a range's
+distinct ranks by mapping it into the leaf level.
 """
 
 from __future__ import annotations

@@ -1,21 +1,21 @@
-"""Sparsified top-K index: auxiliary structures on a few tree levels only.
+"""Sparsified top-K index: one key array on a few tree levels only.
 
 The balanced rank tree of the baseline is kept conceptually, but level
 arrays exist only at "important" levels: multiples of
 max(1, floor(log2 n) / f) clipped to the tree height, plus the leaf level.
-Each level below the root stores its node offsets, a key per element that
-maps intervals down from the level above (array E) and, above the leaf
-level, its elements grouped by node (`vals`) with their group-local
-predecessor array (`pred`, see primitives.make_pred).  Level li + 1's
-arrays sit at index li of each per-level tuple.
+Each level below the root stores its node offsets and one key per element
+(array E), nothing else; level li + 1's arrays sit at index li of each
+per-level tuple.
 
-E holds, for every element of the child level, the child-major key
-`local_child * (n + 1) + e`, where local_child is the child's index among
-its parent's children and e is the element's 1-based position inside the
-parent.  Keys of one parent's children are increasing, so a batch of
-children is mapped with one searchsorted over a vector of needles, two per
-child.  Keys are int32 when 2^fanout * (n + 1) < 2^31 and int64 otherwise;
-needles share the keys' dtype, so numpy never casts the haystack.
+E lists the level's elements grouped by node, and holds for each the key
+`node * M + p`: node is the element's global node id on that level, p its
+1-based position inside its parent node, and M the largest parent-node size
+plus one.  Keys are increasing over the whole level, so the interval (lo, hi]
+of a parent node maps into its child c as the keys in
+[c * M + lo + 1, c * M + hi + 1), and any batch of children, of one node or
+of many, is mapped with one searchsorted over a vector of needles.  Keys
+are int32 when 2^level * M < 2^31 and int64 otherwise; needles share the
+keys' dtype, so numpy never casts the haystack.
 
 A query no wider than the root's fan-out (b - a + 1 <= 2^levels[1]) is
 answered from its own ranks: the core reads rank_of[colors[a-1:b]] from the
@@ -26,17 +26,23 @@ where one sort does.  The core keeps a reference to the array, not a copy
 of its ranks, so the rule stores nothing new.  WaveletTopK, whose root
 fan-out is 2, does not use it.
 
-Any wider query walks important levels top-down.  At a node, children are
-mapped in batches from the highest priority down, each batch twice as large
-as the one before.  Of the non-empty mapped children, the shortest prefix
-whose size bound min(size, 2^(height - level)) reaches the remaining budget
-is counted by one scan of pred (a value occurs in [L, R) iff one of its
-positions there has pred < L).  Children that fit the budget are reported
-wholesale from the same scan, and the first child that overshoots is
-entered.  Larger f means fewer levels (less space) but wider scans.  This
-is the chaining idea of Muthukrishnan (SODA 2002) with the range-minimum
-walk replaced by a vectorized pass, driven by the greedy top-k descent of
-Gagie, Navarro and Puglisi (TCS 2012).
+Any wider query walks a frontier down the important levels: at most k
+non-empty nodes of one level, highest ranks first, each with its interval.
+The root maps its children in batches from the highest down, each twice as
+large as the one before, until k are non-empty.  A lower frontier maps its
+nodes in batches too, each the shortest prefix of the nodes left whose
+bound sum(min(size, 2^fan)) reaches the number of children still missing.
+The non-empty children, kept in order and cut to k, are the next frontier:
+every one of them holds at least one rank, and all its ranks exceed those
+of the next.  A leaf child is one rank, and needs one needle: it is
+non-empty iff the first key at or past c * M + lo + 1 lies below
+c * M + hi + 1.  The leaf ids found are the answer, already sorted, for a
+level set of any depth.  No level stores its ranks or a counting
+structure; this is the greedy top-k descent of Gagie, Navarro and Puglisi
+(TCS 2012) on a multiary wavelet tree (Ferragina, Manzini, Makinen and
+Navarro, ACM TALG 2007).  last_visited counts the children mapped above
+the leaf level, or the width read by the root-width scan.  Larger f means
+fewer levels (less space) but wider frontiers.
 
 _SparseCore is built over a ColorArray and answers in rank space (ranks
 dense in [0, sigma)); SparseTopK, OptimalTopK and ChunkedTopK turn its ranks
@@ -49,18 +55,16 @@ import numpy as np
 
 from .errors import BadParameter, OutOfBounds
 from .model import ColorArray, ColorList, QuerySpec, check_range
-from .primitives import make_pred
 from .util import ceil_log2, floor_log2, nbits
 
-_BUCKET_SORT_MIN = 64
-# children mapped by a node's first batch, at least; later batches double
+# children mapped by the root's first batch, at least; later batches double
 _FIRST_BATCH = 16
 
 
 class _SparseCore:
     __slots__ = (
-        "n", "f", "height", "levels", "_arr",
-        "_E", "_off", "_vals", "_pred", "last_visited",
+        "n", "f", "height", "levels", "_arr", "_E", "_off", "_mult",
+        "last_visited",
     )
 
     def __init__(self, arr: ColorArray, f: int):
@@ -76,38 +80,38 @@ class _SparseCore:
         # every multiple past the height clips to it, so stop there
         steps = min(f + 1, -(-height // stride))
         self.levels = sorted({i * stride for i in range(steps)} | {height})
-        # per level below the root: keys, node offsets and, above the leaf
-        # level, vals and pred; tuples, as empty ones cost no allocation
-        keys, offs, vals_l, pred_l = [], [], [], []
-        inv_p = off_p = None  # level 0 is one node in array order
+        # per level below the root: keys, node offsets and key multiplier
+        keys, offs, mults = [], [], []
+        # each element's position in the parent level, None while that is
+        # the root, whose one node is the array in order
+        pos = None
+        off_p = np.array([0, n], dtype=np.int32)
         for li in range(1, len(self.levels)):
             d, dn = self.levels[li - 1], self.levels[li]
-            fan = dn - d
             nodes = ranks >> (height - dn)
-            perm = np.argsort(nodes, kind="stable").astype(np.int32)
-            nodes_c = nodes[perm]
+            # numpy radix-sorts 16-bit values, several times faster
+            perm = np.argsort(nodes.astype(np.uint16) if dn <= 16 else nodes,
+                              kind="stable").astype(np.int32)
+            nodes = nodes[perm]
             off = np.zeros((1 << dn) + 1, dtype=np.int32)
             np.cumsum(np.bincount(nodes, minlength=1 << dn), out=off[1:])
-            dtype = np.int32 if (n + 1) << fan < 2**31 else np.int64
-            key = (nodes_c & ((1 << fan) - 1)).astype(dtype)
-            key *= n + 1
-            if inv_p is None:
+            m = int(np.diff(off_p).max()) + 1
+            key = nodes.astype(np.int32 if m << dn < 2**31 else np.int64)
+            key *= m
+            if pos is None:
                 key += perm
             else:
-                key += inv_p[perm]
-                key -= off_p[nodes_c >> fan]
+                key += pos[perm]
+                key -= off_p[nodes >> (dn - d)]
             key += 1
             keys.append(key)
             offs.append(off)
+            mults.append(m)
             if dn < height:
-                vals = ranks[perm]
-                vals_l.append(vals)
-                pred_l.append(make_pred(vals, groups=nodes_c))
-                inv_p = np.empty(n, dtype=np.int32)
-                inv_p[perm] = np.arange(n, dtype=np.int32)
+                pos = np.empty(n, dtype=np.int32)
+                pos[perm] = np.arange(n, dtype=np.int32)
                 off_p = off
-        self._E, self._off = tuple(keys), tuple(offs)
-        self._vals, self._pred = tuple(vals_l), tuple(pred_l)
+        self._E, self._off, self._mult = tuple(keys), tuple(offs), tuple(mults)
         self.last_visited = 0
 
     def stored_elements(self) -> int:
@@ -118,11 +122,11 @@ class _SparseCore:
         e = self._E[li]
         off = self._off[li]
         base, end = int(off[child]), int(off[child + 1])
-        fan = self.levels[li + 1] - self.levels[li]
-        j = (child & ((1 << fan) - 1)) * (self.n + 1)
-        # clipped to [1, n + 1] and [0, n], the needles fit the key dtype
-        a = min(max(a, 1), self.n + 1)
-        b = min(max(b, 0), self.n)
+        m = self._mult[li]
+        # clipped to [1, m] and [0, m - 1], the needles fit the key dtype
+        a = min(max(a, 1), m)
+        b = min(max(b, 0), m - 1)
+        j = child * m
         lo, hi = e[base:end].searchsorted(np.array([j + a, j + b + 1], e.dtype))
         return (int(lo) + 1, int(hi)) if lo < hi else (1, 0)
 
@@ -132,86 +136,69 @@ class _SparseCore:
         lo..hi-1 (local indexes), listed from child hi-1 down: two arrays
         L, R of half-open position ranges in the child level's arrays."""
         e = self._E[li]
-        off = self._off[li]
         first = node << (self.levels[li + 1] - self.levels[li])
-        s0 = int(off[first + lo])
-        seg = e[s0 : int(off[first + hi])]
-        base = np.arange(hi - 1, lo - 1, -1, dtype=e.dtype)
-        base *= self.n + 1
-        pos = seg.searchsorted(base[:, None] + np.array([a, b + 1], e.dtype))
-        pos += s0
-        return pos[:, 0], pos[:, 1]
+        s = np.arange(first + hi - 1, first + lo - 1, -1, dtype=e.dtype)
+        s *= self._mult[li]
+        return e.searchsorted(s + a), e.searchsorted(s + (b + 1))
 
-    def _scan_node(self, li: int, node: int, a: int, b: int, rem: int,
-                   out: list):
-        """Report the top `rem` ranks of the node's interval [a, b] into out
-        as far as whole children allow.  Returns (child, a, b, rem) for the
-        child the answer continues in, or None once it is complete."""
+    def _step(self, li: int, ids, lo, w, k: int):
+        """The first k non-empty children of the frontier's level-li nodes
+        `ids` (highest first, intervals lo < p <= lo + w), highest first:
+        (ids, lo, w) arrays, or only the ids when they are leaves."""
+        e, m = self._E[li], self._mult[li]
         fan = self.levels[li + 1] - self.levels[li]
-        first = node << fan
         leaf = li + 2 == len(self.levels)
-        if not leaf:
-            vals, pred = self._vals[li], self._pred[li]
-        cap = 1 << (self.height - self.levels[li + 1])
-        hi, step = 1 << fan, max(2 * rem, _FIRST_BATCH)
-        while hi > 0:
-            lo = max(hi - step, 0)
-            step *= 2
-            self.last_visited += hi - lo
-            L, R = self.map_children(li, node, a, b, lo, hi)
-            nz = np.flatnonzero(R > L)
-            top = first + hi - 1
-            hi = lo
-            if leaf:
-                # leaf children: each non-empty one is a single rank
-                if len(nz) >= rem:
-                    out.extend((top - nz[:rem]).tolist())
-                    return None
-                out.extend((top - nz).tolist())
-                rem -= len(nz)
-                continue
-            L, R = L[nz], R[nz]
-            bound = np.minimum(R - L, cap).cumsum()
+        out, found = [], 0
+        if li:
+            # child ids and needles share the keys' dtype
+            ids = ids.astype(e.dtype, copy=False)
+            cols = np.arange((1 << fan) - 1, -1, -1, dtype=e.dtype)
+            bound = np.minimum(w, 1 << fan).cumsum()
             i = 0
-            while i < len(nz):
-                # the shortest prefix of children i.. whose bound reaches rem
-                reach = rem + (int(bound[i - 1]) if i else 0)
-                m = min(int(bound.searchsorted(reach)) + 1, len(nz))
-                Ls, sizes = L[i:m], R[i:m] - L[i:m]
-                starts = np.cumsum(sizes) - sizes
-                idx = np.arange(int(starts[-1] + sizes[-1]))
-                idx += np.repeat(Ls - starts, sizes)
-                mask = pred[idx] < np.repeat(Ls, sizes)
-                cnt = np.add.reduceat(mask, starts).cumsum()
-                q = int(cnt.searchsorted(rem))
-                if q == len(cnt):
-                    out.extend(vals[idx[mask]].tolist())
-                    rem -= int(cnt[-1])
-                    i = m
-                    continue
-                if cnt[q] == rem:
-                    cut = int(starts[q] + sizes[q])
-                    out.extend(vals[idx[:cut][mask[:cut]]].tolist())
-                    return None
-                cut = int(starts[q])
-                out.extend(vals[idx[:cut][mask[:cut]]].tolist())
-                if q:
-                    rem -= int(cnt[q - 1])
-                u = top - int(nz[i + q])
-                base = int(self._off[li][u])
-                return u, int(Ls[q]) - base + 1, int(R[i + q]) - base, rem
-        return None
-
-    def _descend(self, a: int, b: int, rem: int, out: list) -> None:
-        last = len(self.levels) - 1
-        li, node = 0, 0
-        while li < last:
-            step = self._scan_node(li, node, a, b, rem, out)
-            if step is None:
-                return
-            node, a, b, rem = step
-            li += 1
-        out.append(node)
+        else:
+            top, step = 1 << fan, max(2 * k, _FIRST_BATCH)
+        while found < k:
+            if li == 0:
+                # the root, one node: its children in doubling batches
+                if top == 0:
+                    break
+                c = np.arange(top - 1, max(top - step, 0) - 1, -1, dtype=e.dtype)
+                top, step = max(top - step, 0), 2 * step
+                s = c * m
+                s += int(lo[0]) + 1
+                wid = int(w[0])
+            else:
+                # the shortest prefix of nodes i.. whose bound reaches k - found
+                if i == len(ids):
+                    break
+                reach = k - found + (int(bound[i - 1]) if i else 0)
+                j = min(int(bound.searchsorted(reach)) + 1, len(ids))
+                c = ((ids[i:j, None] << fan) + cols).ravel()
+                s = c * m
+                s += np.repeat(lo[i:j] + 1, 1 << fan)
+                wid = np.repeat(w[i:j], 1 << fan)
+                i = j
+            if leaf:
+                # one needle per leaf: it is non-empty iff the first key at
+                # or past s lies below s + wid.  Past the last key the index
+                # is clipped to it, and that key lies below s, so both ends
+                # are checked; leaf ids >= sigma hold no keys at all
+                key = e.take(e.searchsorted(s), mode="clip")
+                key -= s
+                got = c[(key >= 0) & (key < wid)]
+                out.append(got)
+            else:
+                self.last_visited += len(c)
+                L = e.searchsorted(s)
+                s += wid
+                R = e.searchsorted(s)
+                nz = R > L
+                got, L = c[nz], L[nz]
+                out.append((got, L - self._off[li][got], R[nz] - L))
+            found += len(got)
+        if leaf:
+            return out[0][:k] if len(out) == 1 else np.concatenate(out)[:k]
+        return tuple(np.concatenate(x)[:k] for x in zip(*out))
 
     def topk_ranks(self, a: int, b: int, k: int) -> list[int]:
         """Ranks of the top-k colors of [a, b] (1-based), highest first."""
@@ -228,16 +215,16 @@ class _SparseCore:
             np.not_equal(r[1:], r[:-1], out=last[:-1])
             return r[last][: -k - 1 : -1].tolist()
         self.last_visited = 0
-        out: list[int] = []
-        self._descend(a, b, k, out)
-        if len(out) >= _BUCKET_SORT_MIN:
-            mark = np.zeros(self._arr.sigma, dtype=bool)
-            mark[out] = True
-            return np.flatnonzero(mark)[::-1].tolist()
-        return sorted(out, reverse=True)
+        if len(self.levels) == 1:
+            return [0]
+        frontier = (np.zeros(1, dtype=np.int64), np.array([a - 1]),
+                    np.array([b - a + 1]))
+        for li in range(len(self.levels) - 1):
+            frontier = self._step(li, *frontier, k)
+        return frontier.tolist()
 
     def measured_bits(self) -> int:
-        return nbits(*self._E, *self._off, *self._vals, *self._pred)
+        return nbits(*self._E, *self._off)
 
 
 class SparseTopK:

@@ -279,3 +279,38 @@ def test_narrow_patterns_match_naive():
             for t in (1, 2):
                 assert ix.t_mine(p, t, k) == naive_t_mine(
                     coll, weights, p, t, k), (p, t, k)
+
+
+def held_arrays(obj, seen, out):
+    """Every ndarray reachable from obj through topkolors objects,
+    containers and slots, keyed by identity."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        out[id(obj)] = obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            held_arrays(item, seen, out)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            held_arrays(item, seen, out)
+    elif type(obj).__module__.startswith("topkolors."):
+        names = list(getattr(obj, "__dict__", ()))
+        for cls in type(obj).__mro__:
+            names += getattr(cls, "__slots__", ())
+        for name in names:
+            if hasattr(obj, name):
+                held_arrays(getattr(obj, name), seen, out)
+
+
+def test_measured_bits_counts_every_held_array_once():
+    rng = np.random.default_rng(61)
+    coll = random_collection(rng, 40, 30, b"abc")
+    weights = {j: int(w) for j, w in enumerate(rng.integers(0, 9, 40))}
+    ix = DocumentIndex(coll, weights)
+    assert len(ix._anchors) > 1
+    # the collection is the caller's input, not part of the index
+    seen, out = {id(ix.collection)}, {}
+    held_arrays(ix, seen, out)
+    assert ix.measured_bits() == sum(8 * a.nbytes for a in out.values())

@@ -252,9 +252,56 @@ def test_measured_bits_are_the_core_arrays_only():
     rng = np.random.default_rng(43)
     arr = random_surjective(rng, 2000, 300)
     for ix, core in root_width_cores(arr):
-        want = nbits(*core._E, *core._off, *core._vals, *core._pred)
+        want = nbits(*core._E, *core._off)
         assert ix.measured_bits() == want
         fan = 1 << core.levels[1]
         for w in (1, fan, fan + 1, arr.n):
             ix.topk(1, w, 16)
         assert ix.measured_bits() == want
+
+
+def test_optimal_4k_core_is_keys_and_offsets_only():
+    # the workload shape N = 2^18, sigma = 4096: two int32 key arrays
+    rng = np.random.default_rng(47)
+    n, sigma = 1 << 18, 4096
+    colors = rng.integers(0, sigma, size=n)
+    colors[rng.choice(n, size=sigma, replace=False)] = np.arange(sigma)
+    prio = rng.permutation(sigma).astype(np.int64)
+    ix = OptimalTopK(ColorArray(colors.astype(np.int32), prio))
+    assert ix._global.levels == [0, 9, 12]
+    assert ix.measured_bits() / n <= 65
+
+
+def test_keys_are_int32_at_a_million_elements():
+    # node * (n + 1) keys would overflow int32 on the leaf level here
+    rng = np.random.default_rng(53)
+    n, sigma = 1 << 20, 4096
+    colors = rng.integers(0, sigma, size=n)
+    colors[:sigma] = np.arange(sigma)
+    prio = np.arange(sigma, dtype=np.int64)
+    core = _SparseCore(ColorArray(colors.astype(np.int32), prio), 2)
+    assert core.levels == [0, 10, 12]
+    assert [e.dtype for e in core._E] == [np.int32, np.int32]
+
+
+@pytest.mark.parametrize("n, sigma, f, levels", [
+    (1 << 13, 1 << 13, 2, [0, 6, 12, 13]),
+    (1 << 16, 1 << 12, 3, [0, 5, 10, 12]),
+    (1 << 15, 3001, 2, [0, 7, 12]),
+    # the root's children are leaves, and its first batch holds no keys
+    (1 << 12, 33, 2, [0, 6]),
+])
+def test_frontier_walk_matches_oracle(n, sigma, f, levels):
+    rng = np.random.default_rng(59)
+    colors = rng.integers(0, sigma, size=n)
+    colors[rng.choice(n, size=sigma, replace=False)] = np.arange(sigma)
+    arr = ColorArray(colors.astype(np.int32),
+                     rng.permutation(sigma).astype(np.int64))
+    ix = SparseTopK(arr, f=f)
+    assert ix.levels == levels
+    fan = 1 << levels[1]
+    for w in (fan + 1, 8 * fan, n // 3, n):
+        for a in {1, n - w + 1, int(rng.integers(1, n - w + 2))}:
+            for k in (1, 16, 1024, sigma + 1):
+                assert ix.topk(a, a + w - 1, k) == oracle_topk(
+                    arr, a, a + w - 1, k), (w, a, k)
