@@ -10,7 +10,8 @@ top-K color queries:
   ranked_list(P, k)   k highest-weight documents containing P
   t_mine(P, t, k)     k highest-weight documents with at least t occurrences
 
-t_mine uses per-t anchor arrays: every t-th occurrence slot of each
+t_mine(P, 1, k) is ranked_list(P, k), so the main index serves it.  For
+t >= 2, t_mine uses per-t anchor arrays: every t-th occurrence slot of each
 document, in slot order.  Any document with t or more occurrences inside a
 slot range must place an anchor there (t consecutive positions of its
 occurrence list cover a full residue class), so streaming the anchor
@@ -48,28 +49,42 @@ SEPARATOR = 0
 
 
 def build_suffix_array(text: bytes) -> np.ndarray:
-    """Suffix array by rank doubling; int64 start offsets, lex order."""
+    """Suffix array by prefix doubling: start offsets in lex order, int32
+    when len(text) < 2**31.
+
+    The first key packs the first h symbols of each suffix into one int64
+    (symbol ids + 1 in `bits` bits each, 0 past the end); each round then
+    sorts one combined key, rank[i] * (n + 1) + rank[i + k] + 1, which
+    doubles the prefix the ranks tell apart.  The last round's keys are all
+    distinct, so the sort needs no stability.
+    """
     n = len(text)
+    dtype = np.int32 if n < 2**31 else np.int64
     if n == 0:
-        return np.empty(0, dtype=np.int64)
-    key = np.frombuffer(text, dtype=np.uint8).astype(np.int64)
-    _, rank = np.unique(key, return_inverse=True)
-    k = 1
-    order = np.argsort(rank, kind="stable")
-    while int(rank.max()) != n - 1:
-        second = np.full(n, -1, dtype=np.int64)
-        second[: n - k] = rank[k:]
-        order = np.lexsort((second, rank))
-        changed = np.empty(n, dtype=np.int64)
-        changed[0] = 0
-        changed[1:] = (rank[order][1:] != rank[order][:-1]) | (
-            second[order][1:] != second[order][:-1]
-        )
-        new_rank = np.empty(n, dtype=np.int64)
-        new_rank[order] = np.cumsum(changed)
-        rank = new_rank
+        return np.empty(0, dtype=dtype)
+    _, sym = np.unique(np.frombuffer(text, dtype=np.uint8),
+                       return_inverse=True)
+    bits = (int(sym.max()) + 1).bit_length()
+    h = 63 // bits
+    padded = np.zeros(n + h, dtype=np.int64)
+    padded[:n] = sym + 1
+    key = np.zeros(n, dtype=np.int64)
+    for j in range(h):
+        key <<= bits
+        key |= padded[j : j + n]
+    k = h
+    rank = np.empty(n, dtype=np.int64)
+    step = np.zeros(n, dtype=np.int64)
+    while True:
+        order = np.argsort(key)
+        ordered = key[order]
+        np.not_equal(ordered[1:], ordered[:-1], out=step[1:])
+        rank[order] = np.cumsum(step)
+        if int(rank[order[-1]]) == n - 1:
+            return order.astype(dtype)
+        key = rank * (n + 1)
+        key[: n - k] += rank[k:] + 1
         k *= 2
-    return order.astype(np.int64)
 
 
 def naive_suffix_array(text: bytes) -> list[int]:
@@ -130,35 +145,35 @@ def _check_pattern(pattern) -> bytes:
     return p
 
 
-class _AnchorIndex:
-    """Every t-th occurrence slot per document, indexed for top-K."""
+def _slot_bounds(slots: np.ndarray, a: int, b: int):
+    """0-based half-open bounds of the sorted slots inside suffix slots
+    [a, b] (1-based): one searchsorted with needles of the slots' dtype, so
+    numpy does not cast the haystack."""
+    lo, hi = slots.searchsorted(np.array((a - 1, b), dtype=slots.dtype))
+    return int(lo), int(hi)
 
-    def __init__(self, t, occ_slots, weights):
-        parts = []
-        owner_parts = []
-        for j, s in enumerate(occ_slots):
-            anchors = s[t - 1 :: t]
-            if len(anchors):
-                parts.append(anchors)
-                owner_parts.append(np.full(len(anchors), j, dtype=np.int64))
-        if not parts:
+
+class _AnchorIndex:
+    """Every t-th occurrence slot per document, indexed for top-K.
+
+    occ holds each slot's 0-based occurrence index inside its document, in
+    the slot arrays' dtype, and colors each slot's document, num_docs for
+    separator slots; prio is the priority of every document id.
+    """
+
+    def __init__(self, t, occ, colors, num_docs, prio):
+        slots = np.flatnonzero((occ % t == t - 1) & (colors < num_docs))
+        if not len(slots):
             self.slots = None
             return
-        slots = np.concatenate(parts)
-        owners = np.concatenate(owner_parts)
-        order = np.argsort(slots, kind="stable")
-        self.slots = slots[order]
-        anchor_docs = owners[order]
-        uniq = np.unique(anchor_docs)
-        self.doc_of_loc = uniq.astype(np.int64)
-        loc = np.searchsorted(uniq, anchor_docs).astype(np.int32)
-        prio = np.asarray([weights[int(j)] for j in uniq], dtype=np.int64)
-        self.index = OptimalTopK(ColorArray(loc, prio))
+        self.slots = slots.astype(occ.dtype)
+        uniq, loc = np.unique(colors[slots], return_inverse=True)
+        self.doc_of_loc = uniq
+        self.index = OptimalTopK(ColorArray(loc.astype(np.int32), prio[uniq]))
 
     def slot_range(self, a: int, b: int):
         """Anchor-array range (1-based) covering suffix slots [a, b]."""
-        lo = int(np.searchsorted(self.slots, a - 1, side="left"))
-        hi = int(np.searchsorted(self.slots, b - 1, side="right"))
+        lo, hi = _slot_bounds(self.slots, a, b)
         return lo + 1, hi
 
 
@@ -196,8 +211,10 @@ class DocumentIndex:
         self.arr = ColorArray(colors, prio)
         self.index = OptimalTopK(self.arr)
         # slots of each document in slot order: one stable sort by color
-        by_color = np.argsort(colors, kind="stable")
-        ends = np.cumsum(np.bincount(colors, minlength=s + 1))
+        slot_dtype = self.suffix_array.dtype
+        by_color = np.argsort(colors, kind="stable").astype(slot_dtype)
+        counts = np.bincount(colors, minlength=s + 1)
+        ends = np.cumsum(counts)
         self._occ_slots = np.split(by_color, ends[:s])[:s]
         if t_values is None:
             t_values = []
@@ -209,9 +226,14 @@ class DocumentIndex:
         for t in self.t_values:
             if t < 1:
                 raise BadParameter(f"threshold {t} must be >= 1")
+        # each slot's occurrence index inside its document; t = 1 is served
+        # by the main index, so it gets no anchor set
+        occ = np.empty(len(colors), dtype=slot_dtype)
+        starts = np.repeat(ends - counts, counts)
+        occ[by_color] = np.arange(len(colors)) - starts
         self._anchors = {
-            t: _AnchorIndex(t, self._occ_slots, self.weights)
-            for t in self.t_values
+            t: _AnchorIndex(t, occ, colors, s, prio)
+            for t in self.t_values if t > 1
         }
 
     @property
@@ -243,9 +265,7 @@ class DocumentIndex:
         return self._count_in_slots(doc_index, *rng)
 
     def _count_in_slots(self, doc_index: int, a: int, b: int) -> int:
-        slots = self._occ_slots[doc_index]
-        lo = int(np.searchsorted(slots, a - 1, side="left"))
-        hi = int(np.searchsorted(slots, b - 1, side="right"))
+        lo, hi = _slot_bounds(self._occ_slots[doc_index], a, b)
         return hi - lo
 
     def ranked_list(self, pattern, k: int) -> ColorList:
@@ -266,10 +286,12 @@ class DocumentIndex:
         p = _check_pattern(pattern)
         if t > self.collection.max_doc_len:
             return ColorList([])
-        if t not in self._anchors:
+        if t not in self.t_values:
             raise UnsupportedT(
                 f"t={t} not built; available: {self.t_values}"
             )
+        if t == 1:
+            return self.ranked_list(p, k)
         rng = self.pattern_range(p)
         if rng is None:
             return ColorList([])

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from topkolors import cli
 from topkolors.chunked import ChunkedTopK
-from topkolors.docs import DocumentCollection, DocumentIndex
+from topkolors.docs import DocumentCollection, DocumentIndex, naive_t_mine
 from topkolors.errors import ParseError, SnapshotCorrupt
 from topkolors.model import new_color_array, oracle_topk
 from topkolors.optimal import OptimalTopK
@@ -564,3 +564,28 @@ def test_fuzzed_snapshots_exit_with_documented_codes(case):
                 code = cli.main(argv)
             assert code in (0, 3, 5, 6), (argv[0], code, err.getvalue())
             assert "Traceback" not in err.getvalue()
+
+
+# a docs snapshot listing t = 1, written when t = 1 still had an anchor set
+DOCS_BLOB_T123 = bytes.fromhex(
+    "544b534e41500105490000007b226b696e64223a2022646f6373222c2022706172616d"
+    "73223a207b22745f76616c756573223a205b312c20322c20335d2c2022776569676874"
+    "73223a205b322c20362c20345d7d7d1800000006000000616261626162040000006162"
+    "6261020000006262efeac797"
+)
+
+
+def test_docs_snapshot_listing_t_one_answers_from_main_index(tmp_path):
+    coll = DocumentCollection(["ababab", "abba", "bb"])
+    weights = {0: 2, 1: 6, 2: 4}
+    path = str(tmp_path / "docs.bin")
+    save_index(path, DocumentIndex(coll, weights, t_values=[1, 2, 3]))
+    assert open(path, "rb").read() == DOCS_BLOB_T123
+    open(path, "wb").write(DOCS_BLOB_T123)
+    _, loaded = load_index(path)
+    assert loaded.t_values == [1, 2, 3]
+    for p in ("a", "ab", "b", "bb", "ba", "abab"):
+        for t in (1, 2, 3):
+            for k in (1, 3):
+                assert loaded.t_mine(p, t, k) == naive_t_mine(
+                    coll, weights, p, t, k)

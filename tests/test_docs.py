@@ -314,3 +314,97 @@ def test_measured_bits_counts_every_held_array_once():
     seen, out = {id(ix.collection)}, {}
     held_arrays(ix, seen, out)
     assert ix.measured_bits() == sum(8 * a.nbytes for a in out.values())
+
+
+def test_suffix_array_alphabets_lengths_and_periods():
+    rng = np.random.default_rng(36)
+    texts = [b"ab" * 400, b"a" * 1000, bytes(range(256)) * 3]
+    for sigma in (1, 2, 27, 256):
+        symbols = rng.choice(256, sigma, replace=False).astype(np.uint8)
+        # every n up to 9 is shorter than the packed first key (h >= 7)
+        for n in range(1, 10):
+            for _ in range(3):
+                texts.append(bytes(rng.choice(symbols, n)))
+        # every symbol present, so the key packs exactly sigma symbols
+        texts.append(bytes(rng.permutation(
+            np.concatenate([symbols, rng.choice(symbols, 300)]))))
+    for text in texts:
+        got = build_suffix_array(text)
+        assert got.dtype == np.int32
+        assert got.tolist() == naive_suffix_array(text), text
+
+
+def test_t_mine_one_is_ranked_list_without_an_anchor_set():
+    rng = np.random.default_rng(37)
+    for _ in range(4):
+        coll = random_collection(rng, 12, 16, b"abc")
+        weights = {j: int(w) for j, w in enumerate(rng.integers(0, 5, 12))}
+        ix = DocumentIndex(coll, weights)
+        assert 1 in ix.t_values and 1 not in ix._anchors
+        for p in all_patterns(coll, 2):
+            for k in (1, 3, 12):
+                got = ix.t_mine(p, 1, k)
+                assert got == ix.ranked_list(p, k)
+                assert got == naive_t_mine(coll, weights, p, 1, k)
+    ix = DocumentIndex(DocumentCollection(["ababab", "abba"]), {0: 2, 1: 6},
+                       t_values=[2, 4])
+    with pytest.raises(UnsupportedT):
+        ix.t_mine("ab", 1, 1)
+    assert ix.t_mine("ab", 2, 2) == [(0, 2)]
+
+
+def test_slot_arrays_are_int32():
+    rng = np.random.default_rng(38)
+    ix = DocumentIndex(random_collection(rng, 30, 40, b"abc"),
+                       {j: j for j in range(30)})
+    assert ix.suffix_array.dtype == np.int32
+    assert all(s.dtype == np.int32 for s in ix._occ_slots)
+    anchors = [a for a in ix._anchors.values() if a.slots is not None]
+    assert anchors
+    for anchor in anchors:
+        assert anchor.slots.dtype == np.int32
+        assert anchor.doc_of_loc.dtype == np.int32
+
+
+def test_measured_bits_bound():
+    # this corpus read 553.1 bits/element with a t = 1 anchor set and
+    # int64 slot arrays, 296.1 without
+    rng = np.random.default_rng(62)
+    coll = random_collection(rng, 300, 200, b"abcd")
+    weights = {j: int(w) for j, w in enumerate(rng.integers(0, 100, 300))}
+    ix = DocumentIndex(coll, weights)
+    assert ix.measured_bits() / ix.n <= 320
+
+
+def loop_anchors(occ_slots, t):
+    """Every t-th slot of each document's slot list, concatenated and
+    stable-sorted by slot: the reference for the anchor sets."""
+    parts, owners = [], []
+    for j, s in enumerate(occ_slots):
+        anchors = s[t - 1 :: t]
+        parts.append(anchors)
+        owners.append(np.full(len(anchors), j))
+    slots = np.concatenate(parts)
+    order = np.argsort(slots, kind="stable")
+    return slots[order], np.concatenate(owners)[order]
+
+
+def test_anchor_sets_match_per_document_loop():
+    rng = np.random.default_rng(39)
+    coll = random_collection(rng, 25, 30, b"ab")
+    weights = {j: int(w) for j, w in enumerate(rng.integers(0, 6, 25))}
+    longest = max(len(s) for s in DocumentIndex(coll, weights)._occ_slots)
+    ts = [2, 3, 5, 8, longest, longest + 1]
+    ix = DocumentIndex(coll, weights, t_values=ts)
+    for t in ts:
+        slots, owners = loop_anchors(ix._occ_slots, t)
+        anchor = ix._anchors[t]
+        if not len(slots):
+            assert t == longest + 1 and anchor.slots is None
+            continue
+        assert anchor.slots.tolist() == slots.tolist()
+        docs = anchor.doc_of_loc[anchor.index.arr.colors]
+        assert docs.tolist() == owners.tolist()
+        assert anchor.doc_of_loc.tolist() == sorted(set(owners.tolist()))
+        assert anchor.index.arr.priority_of.tolist() == [
+            weights[int(j)] for j in anchor.doc_of_loc]
