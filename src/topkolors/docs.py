@@ -36,6 +36,7 @@ import numpy as np
 from .errors import (
     BadParameter,
     EmptyArray,
+    MissingPriority,
     OverlappingRanges,
     SeparatorInContent,
     UnsupportedT,
@@ -182,16 +183,25 @@ class DocumentIndex:
 
     weights maps document index to an integer priority (bigger means more
     relevant); ties between equally weighted documents break toward the
-    larger document index.  t_values lists the occurrence thresholds
-    t_mine accepts; the default is every power of two up to the longest
-    document.
+    larger document index.  A missing weight raises MissingPriority, and one
+    that is not an integer BadParameter.  t_values lists the occurrence
+    thresholds t_mine accepts; the default is every power of two up to the
+    longest document.
     """
 
     def __init__(self, collection: DocumentCollection, weights,
                  t_values=None):
         self.collection = collection
         s = collection.num_docs
-        self.weights = {j: int(weights[j]) for j in range(s)}
+        self.weights = {}
+        for j in range(s):
+            try:
+                self.weights[j] = int(weights[j])
+            except LookupError as exc:
+                raise MissingPriority(f"document {j} has no weight") from exc
+            except (TypeError, ValueError) as exc:
+                raise BadParameter(
+                    f"weight of document {j} is not an integer: {exc}") from exc
         self.suffix_array = build_suffix_array(collection.text)
         slot_pos = self.suffix_array
         text_bytes = np.frombuffer(collection.text, dtype=np.uint8)

@@ -31,7 +31,7 @@ class ColorNotInSet(TopKError):
 
 
 class OutOfBounds(TopKError):
-    """Bit-vector rank/select argument outside the valid domain."""
+    """A rank position or mapped interval outside the valid domain."""
 
 
 class BadParameter(TopKError):

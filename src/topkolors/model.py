@@ -162,7 +162,8 @@ def new_color_array(
 
     The distinct colors appearing in `colors` must be exactly 0..sigma-1 and
     each must have a priority entry.  Raises EmptyArray, MissingPriority,
-    ColorOutOfRange, or BadParameter for a priority outside int64.
+    ColorOutOfRange, or BadParameter for a priority that is not an integer
+    or lies outside int64.
     """
     try:
         arr = np.asarray(colors, dtype=np.int64)
@@ -183,7 +184,11 @@ def new_color_array(
     for c in range(sigma):
         if c not in priorities:
             raise MissingPriority(f"color {c} has no priority")
-        p = int(priorities[c])
+        try:
+            p = int(priorities[c])
+        except (TypeError, ValueError) as exc:
+            raise BadParameter(
+                f"priority of color {c} is not an integer: {exc}") from exc
         if not INT64_MIN <= p <= INT64_MAX:
             raise BadParameter(f"priority {p} of color {c} is outside int64")
         prio[c] = p

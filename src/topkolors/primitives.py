@@ -8,12 +8,12 @@ vectorized scan for the positions with pred below l, and counting them is
 the same scan counted: O(r - l) work in a single numpy pass, which beats a
 logarithmic structure over pred at the range widths the indexes ask for.
 
-Ranges here are 0-based half-open at the lowest level; the public report /
-count methods take the 1-based inclusive convention used everywhere else.
+Ranges here are 0-based half-open, [l, r): ColorReporter.positions returns
+the witness positions and ColorCounter.count_range their number.
 
-When an array is the concatenation of independent segments (the per-level
-node arrays of the tree indexes), build pred with `groups` set to the segment
-id per position.  Predecessors then never cross a segment boundary, and a
+When an array is the concatenation of independent segments (WaveletTopK's
+per-level node arrays), build pred with make_pred's `groups` set to the
+segment id per position, and hand it to both structures.  Predecessors then never cross a segment boundary, and a
 query for segment range [l, r) with threshold l is correct with global
 indices, so one structure serves every segment of a level.
 
@@ -27,8 +27,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BadParameter
-from .model import check_range
 from .util import ceil_log2, nbits
 
 _INF = np.int64(2**62)
@@ -143,43 +141,19 @@ class ArgminSegtree:
 class ColorReporter:
     """Reports each distinct value of a range exactly once.
 
-    `positions(l, r)` returns the witness positions (first occurrence of each
-    distinct value in [l, r), 0-based half-open); report/report_capped wrap it
-    in the 1-based inclusive convention over the whole array.
+    `positions(l, r)` returns the witness positions: the first occurrence of
+    each distinct value in [l, r), 0-based half-open.
     """
 
     __slots__ = ("values", "pred")
 
-    def __init__(self, values, pred=None, groups=None):
+    def __init__(self, values, pred=None):
         self.values = np.asarray(values)
-        self.pred = (
-            make_pred(self.values, groups) if pred is None else np.asarray(pred)
-        )
+        self.pred = make_pred(self.values) if pred is None else np.asarray(pred)
 
-    def positions(self, l: int, r: int, cap=None) -> list[int]:
-        """Ascending witness positions in [l, r); with cap, at most cap + 1
-        of them, so the caller can tell that more remain."""
-        pos = np.flatnonzero(self.pred[l:r] < l)
-        if cap is not None:
-            pos = pos[: cap + 1]
-        return (pos + l).tolist()
-
-    def report(self, a: int, b: int) -> list[int]:
-        """All distinct values in [a, b], 1-based inclusive."""
-        check_range(len(self.values), a, b)
-        return self.values[self.positions(a - 1, b)].tolist()
-
-    def report_capped(self, a: int, b: int, cap: int):
-        """Up to cap distinct values plus an exhaustiveness flag.
-
-        Returns (values, more): more is True iff further distinct values
-        beyond the cap exist in the range.
-        """
-        check_range(len(self.values), a, b)
-        if cap < 1:
-            raise BadParameter(f"cap must be >= 1, got {cap}")
-        pos = self.positions(a - 1, b, cap=cap)
-        return self.values[pos[:cap]].tolist(), len(pos) > cap
+    def positions(self, l: int, r: int) -> list[int]:
+        """Ascending witness positions in [l, r)."""
+        return (np.flatnonzero(self.pred[l:r] < l) + l).tolist()
 
     def measured_bits(self) -> int:
         return nbits(self.values, self.pred)
@@ -188,21 +162,11 @@ class ColorReporter:
 class ColorCounter:
     """Counts distinct values in a range with one scan of pred."""
 
-    __slots__ = ("n", "pred")
+    __slots__ = ("pred",)
 
-    def __init__(self, values, pred=None, groups=None):
-        values = np.asarray(values)
-        self.n = len(values)
-        self.pred = make_pred(values, groups) if pred is None else np.asarray(pred)
+    def __init__(self, values, pred=None):
+        self.pred = make_pred(values) if pred is None else np.asarray(pred)
 
     def count_range(self, l: int, r: int) -> int:
         """Distinct values in [l, r), 0-based half-open."""
         return int(np.count_nonzero(self.pred[l:r] < l))
-
-    def count(self, a: int, b: int) -> int:
-        """Distinct values in [a, b], 1-based inclusive."""
-        check_range(self.n, a, b)
-        return self.count_range(a - 1, b)
-
-    def measured_bits(self) -> int:
-        return nbits(self.pred)

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BadParameter, OutOfBounds
+from .errors import BadParameter
 from .model import ColorArray, ColorList, QuerySpec, check_range
 from .util import ceil_log2, floor_log2, nbits
 
@@ -62,10 +62,7 @@ _FIRST_BATCH = 16
 
 
 class _SparseCore:
-    __slots__ = (
-        "n", "f", "height", "levels", "_arr", "_E", "_off", "_mult",
-        "last_visited",
-    )
+    __slots__ = ("levels", "_arr", "_E", "_off", "_mult", "last_visited")
 
     def __init__(self, arr: ColorArray, f: int):
         if f < 2:
@@ -73,9 +70,8 @@ class _SparseCore:
         # the array, not a copy of its ranks: the root-width scan reads it
         self._arr = arr
         ranks = arr.ranks()
-        n = self.n = len(ranks)
-        self.f = f
-        height = self.height = ceil_log2(arr.sigma)
+        n = len(ranks)
+        height = ceil_log2(arr.sigma)
         stride = max(1, floor_log2(max(n, 1)) // f)
         # every multiple past the height clips to it, so stop there
         steps = min(f + 1, -(-height // stride))
@@ -114,9 +110,7 @@ class _SparseCore:
         self._E, self._off, self._mult = tuple(keys), tuple(offs), tuple(mults)
         self.last_visited = 0
 
-    def stored_elements(self) -> int:
-        return self.n * len(self.levels)
-
+    # stays until the benchmark retires its map_child tracing hook
     def map_child(self, li: int, child: int, a: int, b: int):
         """Interval of a level-li node mapped into important child `child`."""
         e = self._E[li]
@@ -129,17 +123,6 @@ class _SparseCore:
         j = child * m
         lo, hi = e[base:end].searchsorted(np.array([j + a, j + b + 1], e.dtype))
         return (int(lo) + 1, int(hi)) if lo < hi else (1, 0)
-
-    def map_children(self, li: int, node: int, a: int, b: int, lo: int,
-                     hi: int):
-        """The level-li node's interval [a, b] mapped into its children
-        lo..hi-1 (local indexes), listed from child hi-1 down: two arrays
-        L, R of half-open position ranges in the child level's arrays."""
-        e = self._E[li]
-        first = node << (self.levels[li + 1] - self.levels[li])
-        s = np.arange(first + hi - 1, first + lo - 1, -1, dtype=e.dtype)
-        s *= self._mult[li]
-        return e.searchsorted(s + a), e.searchsorted(s + (b + 1))
 
     def _step(self, li: int, ids, lo, w, k: int):
         """The first k non-empty children of the frontier's level-li nodes
@@ -233,24 +216,13 @@ class SparseTopK:
         self.n = arr.n
         self.f = f
         self.core = _SparseCore(arr, f)
-        # each element lives in one array per important level; the leaf level
-        # can exceed the f+1 regular ones when the stride does not divide the
-        # tree height
-        assert self.core.stored_elements() <= (f + 2) * arr.n
+        # at most f + 1 regular important levels, plus the leaf level when
+        # the stride does not divide the tree height
+        assert len(self.core.levels) <= f + 2
 
     @property
     def levels(self) -> list[int]:
         return self.core.levels
-
-    def descend_interval(self, level_index: int, child: int, a: int, b: int):
-        """Map a node interval into one important child; (1, 0) when empty."""
-        core = self.core
-        if not 0 <= level_index < len(core.levels) - 1:
-            raise OutOfBounds(f"no child level below level index {level_index}")
-        off = core._off[level_index]
-        if not 0 <= child < len(off) - 1:
-            raise OutOfBounds(f"child {child} out of range")
-        return core.map_child(level_index, child, a, b)
 
     def topk(self, a: int, b: int, k: int) -> ColorList:
         check_range(self.n, a, b, k)

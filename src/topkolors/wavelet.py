@@ -1,10 +1,11 @@
 """Baseline top-K index: a balanced tree over the priority range.
 
 Colors are replaced by their priority ranks and the rank range [0, 2^height)
-is halved recursively; each tree level stores one bit per element marking
-membership in the upper half, with rank support for interval mapping.  A node
-at depth d covers a contiguous rank interval and its elements appear in
-original order inside the level-d array.
+is halved recursively; each level above the leaves stores its node offsets
+and one bit per element marking membership in the upper half, with rank
+support for interval mapping.  A node at depth d covers a contiguous rank
+interval and its elements appear in original order inside the level-d array.
+A leaf is a single rank, so the leaf level stores nothing.
 
 The rank range is padded to a power of two; padding ranks never occur in the
 array, so their subtrees receive empty intervals and are never reported.
@@ -12,6 +13,8 @@ array, so their subtrees receive empty intervals and are never reported.
 Shared level structures: all nodes of one level are concatenated into a
 single array, and one reporter plus one counter (sharing one group-local
 predecessor array, scanned per query) serves every node of that level.
+Only the levels strictly between root and leaves have them: the walk
+counts and reports children, never the root.
 
 Query walk for top K: at each node, map the interval into the right (higher
 priority) child and count its distinct colors m.  If m exceeds K, the answer
@@ -42,35 +45,23 @@ class WaveletTopK:
         ranks = arr.ranks()
         self._bits: list[RankSelectBits] = []
         self._offsets: list[np.ndarray] = []
-        self._perms: list[np.ndarray] = []
         self._reporters: dict[int, ColorReporter] = {}
         self._counters: dict[int, ColorCounter] = {}
-        for d in range(self.height + 1):
+        # a leaf is one rank, counted and reported without a level array
+        for d in range(self.height):
             shift = self.height - d
-            perm = np.argsort(ranks >> shift, kind="stable").astype(np.int32)
-            vals = ranks[perm]
+            vals = ranks[np.argsort(ranks >> shift, kind="stable")]
             nodes = vals >> shift
             counts = np.bincount(nodes, minlength=1 << d)
             off = np.zeros((1 << d) + 1, dtype=np.int64)
             np.cumsum(counts, out=off[1:])
             self._offsets.append(off)
-            self._perms.append(perm)
-            if d < self.height:
-                self._bits.append(RankSelectBits((vals >> (shift - 1)) & 1))
-            if 0 < d < self.height:
+            self._bits.append(RankSelectBits((vals >> (shift - 1)) & 1))
+            if d > 0:
                 pred = make_pred(vals, groups=nodes)
                 self._reporters[d] = ColorReporter(vals, pred=pred)
                 self._counters[d] = ColorCounter(vals, pred=pred)
         self.last_visited = 0
-
-    def node_size(self, level: int, node: int) -> int:
-        off = self._offsets[level]
-        return int(off[node + 1] - off[node])
-
-    def node_positions(self, level: int, node: int, a: int, b: int) -> np.ndarray:
-        """Original array positions (0-based) of the node's local [a, b]."""
-        off = int(self._offsets[level][node])
-        return self._perms[level][off + a - 1 : off + b]
 
     def map_interval(self, level: int, node: int, a: int, b: int, side: str):
         """Map a node-local interval one level down; (1, 0) when empty."""
@@ -108,7 +99,7 @@ class WaveletTopK:
         base = int(self._offsets[level][node])
         return rep.values[rep.positions(base + a - 1, base + b)].tolist()
 
-    def topk(self, a: int, b: int, k: int, trace=None) -> ColorList:
+    def topk(self, a: int, b: int, k: int) -> ColorList:
         check_range(self.n, a, b, k)
         out: list[int] = []
         d, node, av, bv, rem = 0, 0, a, b, k
@@ -121,8 +112,6 @@ class WaveletTopK:
                 break
             ra, rb = self.map_interval(d, node, av, bv, "right")
             m = self._count(d + 1, 2 * node + 1, ra, rb)
-            if trace is not None and ra <= rb:
-                trace.append((d + 1, 2 * node + 1, ra, rb, m))
             if m >= rem:
                 if m == rem:
                     visited += 1
@@ -146,7 +135,7 @@ class WaveletTopK:
         return self.topk(q.a, q.b, q.k)
 
     def measured_bits(self) -> int:
-        total = nbits(*self._perms, *self._offsets)
+        total = nbits(*self._offsets)
         total += sum(bv.measured_bits() for bv in self._bits)
         # each level's counter shares its reporter's pred array
         total += sum(r.measured_bits() for r in self._reporters.values())

@@ -15,6 +15,7 @@ from topkolors.docs import (
 from topkolors.errors import (
     BadParameter,
     EmptyArray,
+    MissingPriority,
     OverlappingRanges,
     SeparatorInContent,
     UnsupportedT,
@@ -251,6 +252,17 @@ def test_weights_outside_int64_are_bad_parameter():
     assert ix.ranked_list("a", 2) == [(1, 2**63 - 1), (0, -(2**63) + 1)]
 
 
+def test_missing_weight_is_missing_priority():
+    with pytest.raises(MissingPriority):
+        DocumentIndex(DocumentCollection(["ab", "ba"]), {0: 1})
+
+
+def test_non_integer_weight_is_bad_parameter():
+    for bad in ("x", None):
+        with pytest.raises(BadParameter):
+            DocumentIndex(DocumentCollection(["ab", "ba"]), {0: 1, 1: bad})
+
+
 def test_narrow_patterns_match_naive():
     # marker "Q" + two upper-case letters occurs exactly occ times, spread
     # over random documents of a-d; 300 documents give 301 colors and a
@@ -281,39 +293,14 @@ def test_narrow_patterns_match_naive():
                     coll, weights, p, t, k), (p, t, k)
 
 
-def held_arrays(obj, seen, out):
-    """Every ndarray reachable from obj through topkolors objects,
-    containers and slots, keyed by identity."""
-    if id(obj) in seen:
-        return
-    seen.add(id(obj))
-    if isinstance(obj, np.ndarray):
-        out[id(obj)] = obj
-    elif isinstance(obj, (list, tuple)):
-        for item in obj:
-            held_arrays(item, seen, out)
-    elif isinstance(obj, dict):
-        for item in obj.values():
-            held_arrays(item, seen, out)
-    elif type(obj).__module__.startswith("topkolors."):
-        names = list(getattr(obj, "__dict__", ()))
-        for cls in type(obj).__mro__:
-            names += getattr(cls, "__slots__", ())
-        for name in names:
-            if hasattr(obj, name):
-                held_arrays(getattr(obj, name), seen, out)
-
-
-def test_measured_bits_counts_every_held_array_once():
+def test_measured_bits_counts_every_held_array_once(held_bits):
     rng = np.random.default_rng(61)
     coll = random_collection(rng, 40, 30, b"abc")
     weights = {j: int(w) for j, w in enumerate(rng.integers(0, 9, 40))}
     ix = DocumentIndex(coll, weights)
     assert len(ix._anchors) > 1
     # the collection is the caller's input, not part of the index
-    seen, out = {id(ix.collection)}, {}
-    held_arrays(ix, seen, out)
-    assert ix.measured_bits() == sum(8 * a.nbytes for a in out.values())
+    assert ix.measured_bits() == held_bits(ix, ix.collection)
 
 
 def test_suffix_array_alphabets_lengths_and_periods():

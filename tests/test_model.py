@@ -127,6 +127,12 @@ def test_values_outside_int64_are_topk_errors():
         new_color_array([0, 2**63], {0: 1, 1: 2})
 
 
+def test_non_integer_priority_is_bad_parameter():
+    for bad in ("x", None, [1]):
+        with pytest.raises(BadParameter):
+            new_color_array([0, 1], {0: 1, 1: bad})
+
+
 def test_list_from_ranks_gives_python_ints():
     arr = new_color_array(A, P)
     got = arr.list_from_ranks([3, 1])

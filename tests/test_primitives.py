@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topkolors.errors import BadParameter, InvalidRange
 from topkolors.primitives import (
     ArgminSegtree,
     ColorCounter,
@@ -27,30 +26,16 @@ def test_make_pred_grouped():
 
 def test_report_canonical():
     rep = ColorReporter(A)
-    assert set(rep.report(2, 6)) == {0, 1, 2}
-    assert set(rep.report(7, 7)) == {3}
-    assert set(rep.report(1, 8)) == {0, 1, 2, 3}
-    with pytest.raises(InvalidRange):
-        rep.report(0, 3)
-
-
-def test_report_capped_canonical():
-    rep = ColorReporter(A)
-    got, more = rep.report_capped(2, 6, 2)
-    assert more and len(got) == 2 and set(got) <= {0, 1, 2}
-    got, more = rep.report_capped(2, 6, 3)
-    assert not more and set(got) == {0, 1, 2}
-    got, more = rep.report_capped(7, 7, 5)
-    assert not more and got == [3]
-    with pytest.raises(BadParameter):
-        rep.report_capped(2, 6, 0)
+    assert set(rep.values[rep.positions(1, 6)]) == {0, 1, 2}
+    assert set(rep.values[rep.positions(6, 7)]) == {3}
+    assert set(rep.values[rep.positions(0, 8)]) == {0, 1, 2, 3}
 
 
 def test_count_canonical():
     cnt = ColorCounter(A)
-    assert cnt.count(2, 6) == 3
-    assert cnt.count(7, 7) == 1
-    assert cnt.count(1, 8) == 4
+    assert cnt.count_range(1, 6) == 3
+    assert cnt.count_range(6, 7) == 1
+    assert cnt.count_range(0, 8) == 4
 
 
 def test_witness_property():
@@ -93,13 +78,9 @@ def test_against_scans(vals, data):
     want = set(vals[a - 1 : b])
     rep = ColorReporter(vals)
     cnt = ColorCounter(vals)
-    assert set(rep.report(a, b)) == want
-    assert cnt.count(a, b) == len(want)
-    cap = data.draw(st.integers(1, 14))
-    got, more = rep.report_capped(a, b, cap)
-    assert more == (len(want) > cap)
-    assert len(got) == min(cap, len(want))
-    assert set(got) <= want and len(set(got)) == len(got)
+    pos = rep.positions(a - 1, b)
+    assert sorted(rep.values[pos].tolist()) == sorted(want)
+    assert cnt.count_range(a - 1, b) == len(want)
 
 
 def test_grouped_reporter_shared_across_segments():

@@ -20,7 +20,8 @@ def test_root_bit_sequence():
     # rank range holds colors {3, 2}
     ix = build_canonical()
     assert ix.height == 2
-    got = [ix._bits[0].get(i) for i in range(1, 9)]
+    root = ix._bits[0]
+    got = [root.rank1(i) - root.rank1(i - 1) for i in range(1, 9)]
     assert got == [1, 0, 0, 0, 1, 0, 1, 1]
     # independent derivation from the definition
     ranks = ix.arr.ranks()
@@ -73,23 +74,42 @@ def test_single_color_has_no_bits():
 def test_level_array_lengths_partition_n():
     ix = build_canonical()
     for d in range(ix.height):
-        assert len(ix._perms[d]) == ix.n
         assert int(ix._offsets[d][-1]) == ix.n
 
 
 def test_count_instrumentation_matches_oracle():
     arr = new_color_array(A, P)
     ix = WaveletTopK(arr)
-    trace = []
-    ix.topk(2, 7, 3, trace=trace)
-    assert trace
-    for level, node, a, b, m in trace:
-        pos = ix.node_positions(level, node, a, b)
-        lo, hi = int(pos.min()) + 1, int(pos.max()) + 1
-        # node arrays preserve array order, so mapped intervals are the
-        # node's elements inside a contiguous original window
-        assert m == len(set(int(arr.colors[p]) for p in pos))
-        assert m <= oracle_distinct_count(arr, lo, hi)
+    ranks = arr.ranks()
+    # topk counts on levels 1..height only
+    for level in range(1, ix.height + 1):
+        # a level lists the elements grouped by node, in array order
+        nodes = ranks >> (ix.height - level)
+        perm = np.argsort(nodes, kind="stable")
+        off = np.zeros((1 << level) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(nodes, minlength=1 << level), out=off[1:])
+        for node in range(1 << level):
+            size = int(off[node + 1] - off[node])
+            for a in range(1, size + 1):
+                for b in range(a, size + 1):
+                    pos = perm[int(off[node]) + a - 1 : int(off[node]) + b]
+                    m = ix._count(level, node, a, b)
+                    assert m == len(set(arr.colors[pos].tolist()))
+                    lo, hi = int(pos.min()) + 1, int(pos.max()) + 1
+                    assert m <= oracle_distinct_count(arr, lo, hi)
+
+
+def test_measured_bits_counts_every_held_array_once(held_bits):
+    rng = np.random.default_rng(67)
+    n, sigma = 1 << 16, 256
+    colors = rng.integers(0, sigma, size=n)
+    colors[:sigma] = np.arange(sigma)
+    arr = new_color_array(colors, dict(enumerate(rng.permutation(sigma).tolist())))
+    ix = WaveletTopK(arr)
+    ix.topk(1, n, 16)
+    # the array is the caller's input, not part of the index
+    assert ix.measured_bits() == held_bits(ix, arr)
+    assert ix.measured_bits() / n <= 64 * ix.height + 8
 
 
 @st.composite
