@@ -11,11 +11,11 @@ logarithmic structure over pred at the range widths the indexes ask for.
 Ranges here are 0-based half-open, [l, r): ColorReporter.positions returns
 the witness positions and ColorCounter.count_range their number.
 
-When an array is the concatenation of independent segments (WaveletTopK's
-per-level node arrays), build pred with make_pred's `groups` set to the
-segment id per position, and hand it to both structures.  Predecessors then never cross a segment boundary, and a
-query for segment range [l, r) with threshold l is correct with global
-indices, so one structure serves every segment of a level.
+The witness rule holds for any range of the array, so when an array is the
+concatenation of independent segments (WaveletTopK's per-level node
+arrays), one pred over the whole array, handed to both structures, serves
+every segment: a query for segment range [l, r) with threshold l is correct
+with global indices, wherever the previous occurrence lies.
 
 ArgminSegtree is the logarithmic alternative over pred, kept as a
 standalone structure.  make_pred, ColorCounter and ColorReporter serve only
@@ -32,21 +32,18 @@ from .util import ceil_log2, nbits
 _INF = np.int64(2**62)
 
 
-def make_pred(values, groups=None) -> np.ndarray:
-    """Index of the previous occurrence of the same value, or -1.
-
-    With `groups`, occurrences only match within the same group.
-    """
-    values = np.asarray(values, dtype=np.int64)
+def make_pred(values) -> np.ndarray:
+    """Index of the previous occurrence of the same value, or -1."""
+    values = np.asarray(values)
     n = len(values)
     pred = np.full(n, -1, dtype=np.int32)
     if n == 0:
         return pred
-    if groups is None:
-        key = values
+    # numpy radix-sorts 16-bit values, several times faster
+    if 0 <= int(values.min()) and int(values.max()) < 1 << 16:
+        key = values.astype(np.uint16)
     else:
-        groups = np.asarray(groups, dtype=np.int64)
-        key = groups * (int(values.max()) + 1) + values
+        key = values.astype(np.int64, copy=False)
     order = np.argsort(key, kind="stable")
     sk = key[order]
     same = sk[1:] == sk[:-1]

@@ -17,14 +17,19 @@ of many, is mapped with one searchsorted over a vector of needles.  Keys
 are int32 when 2^level * M < 2^31 and int64 otherwise; needles share the
 keys' dtype, so numpy never casts the haystack.
 
-A query no wider than the root's fan-out (b - a + 1 <= 2^levels[1]) is
-answered from its own ranks: the core reads rank_of[colors[a-1:b]] from the
-ColorArray it was built over, sorts those values and returns the k highest
-distinct ones.  The range then holds no more elements than the root has
-children, and mapping it into them takes a few batches of numpy calls
-where one sort does.  The core keeps a reference to the array, not a copy
-of its ranks, so the rule stores nothing new.  WaveletTopK, whose root
-fan-out is 2, does not use it.
+A query no wider than scan_width(k) is answered from its own ranks: the
+core reads rank_of[colors[a-1:b]] from the ColorArray it was built over,
+sorts those values and returns the k highest distinct ones.  scan_width(k)
+is the descent's estimated cost in scanned positions: a fixed cost per
+level step, plus a cost per unit of its work, the leaf needles
+min(sigma, k << leaf fan) and, when there is a middle level, the root
+children its first batches map, min(2^levels[1], 2k + 16).  Both constants
+are fitted to a sweep of the two paths' times (BENCH_scan_rule.json).  The
+width never falls below the root's fan-out and grows with k: at sigma =
+4096 and N = 2^18 (levels {0, 9, 12}) it is about 3.2k positions at k = 1
+and 32k at k = 1024, and at sigma = 4 about 1.5k whatever k.  The core keeps
+a reference to the array, not a copy of its ranks, so the rule stores
+nothing new.  WaveletTopK does not use it.
 
 Any wider query walks a frontier down the important levels: at most k
 non-empty nodes of one level, highest ranks first, each with its interval.
@@ -41,8 +46,9 @@ level set of any depth.  No level stores its ranks or a counting
 structure; this is the greedy top-k descent of Gagie, Navarro and Puglisi
 (TCS 2012) on a multiary wavelet tree (Ferragina, Manzini, Makinen and
 Navarro, ACM TALG 2007).  last_visited counts the children mapped above
-the leaf level, or the width read by the root-width scan.  Larger f means
-fewer levels (less space) but wider frontiers.
+the leaf level, and last_scanned the width the scan read; each is 0 when
+the other path ran.  Larger f means fewer levels (less space) but wider
+frontiers.
 
 _SparseCore is built over a ColorArray and answers in rank space (ranks
 dense in [0, sigma)); SparseTopK, OptimalTopK and ChunkedTopK turn its ranks
@@ -59,15 +65,21 @@ from .util import ceil_log2, floor_log2, nbits
 
 # children mapped by the root's first batch, at least; later batches double
 _FIRST_BATCH = 16
+# The descent's cost in scanned positions: per level step, and per unit of
+# its work (a leaf needle, or a root child mapped).  Fitted to the sweep of
+# scan and descent times recorded in BENCH_scan_rule.json.
+_STEP_WIDTH = 1520
+_UNIT_WIDTH = 6.4
 
 
 class _SparseCore:
-    __slots__ = ("levels", "_arr", "_E", "_off", "_mult", "last_visited")
+    __slots__ = ("levels", "_arr", "_E", "_off", "_mult", "_widest",
+                 "last_visited", "last_scanned")
 
     def __init__(self, arr: ColorArray, f: int):
         if f < 2:
             raise BadParameter(f"level sparsification needs f >= 2, got {f}")
-        # the array, not a copy of its ranks: the root-width scan reads it
+        # the array, not a copy of its ranks: the scan reads it
         self._arr = arr
         ranks = arr.ranks()
         n = len(ranks)
@@ -108,7 +120,9 @@ class _SparseCore:
                 pos[perm] = np.arange(n, dtype=np.int32)
                 off_p = off
         self._E, self._off, self._mult = tuple(keys), tuple(offs), tuple(mults)
-        self.last_visited = 0
+        # scan_width of every k >= 2^height: no wider range is scanned
+        self._widest = self.scan_width(1 << height) if height else 0
+        self.last_visited = self.last_scanned = 0
 
     # stays until the benchmark retires its map_child tracing hook
     def map_child(self, li: int, child: int, a: int, b: int):
@@ -183,23 +197,43 @@ class _SparseCore:
             return out[0][:k] if len(out) == 1 else np.concatenate(out)[:k]
         return tuple(np.concatenate(x)[:k] for x in zip(*out))
 
+    def scan_width(self, k: int) -> int:
+        """Widest range whose top k the scan answers: the descent's
+        estimated cost in scanned positions, never below the root's
+        fan-out.  The descent pays per level step, per leaf needle and per
+        root child its first batches map."""
+        lv = self.levels
+        units = min(self._arr.sigma, k << (lv[-1] - lv[-2]))
+        if len(lv) > 2:
+            units += min(1 << lv[1], 2 * k + _FIRST_BATCH)
+        return max(1 << lv[1],
+                   int(_STEP_WIDTH * (len(lv) - 1) + _UNIT_WIDTH * units))
+
     def topk_ranks(self, a: int, b: int, k: int) -> list[int]:
         """Ranks of the top-k colors of [a, b] (1-based), highest first."""
-        if len(self.levels) > 1 and b - a < 1 << self.levels[1]:
-            # no wider than the root's fan-out: reading the range costs
-            # less than mapping it into the root's children
-            self.last_visited = b - a + 1
-            arr = self._arr
-            r = arr.rank_of[arr.colors[a - 1 : b]]
-            r.sort()
-            # keep the last of each run of equal ranks
-            last = np.empty(len(r), dtype=bool)
-            last[-1] = True
-            np.not_equal(r[1:], r[:-1], out=last[:-1])
-            return r[last][: -k - 1 : -1].tolist()
-        self.last_visited = 0
         if len(self.levels) == 1:
+            self.last_visited = self.last_scanned = 0
             return [0]
+        if b - a < self._widest and b - a < self.scan_width(k):
+            return self._scan(a, b, k)
+        return self._descend(a, b, k)
+
+    def _scan(self, a: int, b: int, k: int) -> list[int]:
+        """The top k of [a, b] from the range's own ranks, sorted."""
+        self.last_visited = 0
+        self.last_scanned = b - a + 1
+        arr = self._arr
+        r = arr.rank_of[arr.colors[a - 1 : b]]
+        r.sort()
+        # keep the last of each run of equal ranks
+        last = np.empty(len(r), dtype=bool)
+        last[-1] = True
+        np.not_equal(r[1:], r[:-1], out=last[:-1])
+        return r[last][: -k - 1 : -1].tolist()
+
+    def _descend(self, a: int, b: int, k: int) -> list[int]:
+        """The top k of [a, b] by walking a frontier down the levels."""
+        self.last_visited = self.last_scanned = 0
         frontier = (np.zeros(1, dtype=np.int64), np.array([a - 1]),
                     np.array([b - a + 1]))
         for li in range(len(self.levels) - 1):
@@ -228,6 +262,7 @@ class SparseTopK:
         check_range(self.n, a, b, k)
         ranks = self.core.topk_ranks(a, b, k)
         self.last_visited = self.core.last_visited
+        self.last_scanned = self.core.last_scanned
         return self.arr.list_from_ranks(ranks)
 
     def query(self, q: QuerySpec) -> ColorList:

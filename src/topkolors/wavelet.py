@@ -11,8 +11,9 @@ The rank range is padded to a power of two; padding ranks never occur in the
 array, so their subtrees receive empty intervals and are never reported.
 
 Shared level structures: all nodes of one level are concatenated into a
-single array, and one reporter plus one counter (sharing one group-local
-predecessor array, scanned per query) serves every node of that level.
+single array, and one reporter plus one counter (sharing one predecessor
+array, scanned per query) serves every node of that level.  A node is a
+function of the rank, so a rank's previous occurrence lies in its own node.
 Only the levels strictly between root and leaves have them: the walk
 counts and reports children, never the root.
 
@@ -50,7 +51,11 @@ class WaveletTopK:
         # a leaf is one rank, counted and reported without a level array
         for d in range(self.height):
             shift = self.height - d
-            vals = ranks[np.argsort(ranks >> shift, kind="stable")]
+            key = ranks >> shift
+            # numpy radix-sorts 16-bit values, several times faster
+            if self.height <= 16:
+                key = key.astype(np.uint16)
+            vals = ranks[np.argsort(key, kind="stable")]
             nodes = vals >> shift
             counts = np.bincount(nodes, minlength=1 << d)
             off = np.zeros((1 << d) + 1, dtype=np.int64)
@@ -58,7 +63,7 @@ class WaveletTopK:
             self._offsets.append(off)
             self._bits.append(RankSelectBits((vals >> (shift - 1)) & 1))
             if d > 0:
-                pred = make_pred(vals, groups=nodes)
+                pred = make_pred(vals)
                 self._reporters[d] = ColorReporter(vals, pred=pred)
                 self._counters[d] = ColorCounter(vals, pred=pred)
         self.last_visited = 0

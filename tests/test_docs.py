@@ -287,7 +287,7 @@ def test_narrow_patterns_match_naive():
             assert ix.ranked_list(p, k) == naive_ranked_list(
                 coll, weights, p, k)
             if occ <= 64:
-                assert core.last_visited == occ
+                assert core.last_scanned == occ
             for t in (1, 2):
                 assert ix.t_mine(p, t, k) == naive_t_mine(
                     coll, weights, p, t, k), (p, t, k)

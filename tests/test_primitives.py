@@ -16,12 +16,9 @@ A = [2, 0, 1, 0, 2, 1, 3, 2]
 
 def test_make_pred():
     assert list(make_pred(A)) == [-1, -1, -1, 1, 0, 2, -1, 4]
-
-
-def test_make_pred_grouped():
-    vals = [1, 1, 2, 1, 2, 1]
-    groups = [0, 0, 0, 1, 1, 1]
-    assert list(make_pred(vals, groups)) == [-1, 0, -1, -1, -1, 3]
+    # values outside 16 bits take the int64 sort: no two of these may meet
+    assert list(make_pred([65536, 0, 65536, -1, 65535])) == [-1, -1, 0, -1, -1]
+    assert list(make_pred([-1, 65535, -1])) == [-1, -1, 0]
 
 
 def test_report_canonical():
@@ -83,11 +80,11 @@ def test_against_scans(vals, data):
     assert cnt.count_range(a - 1, b) == len(want)
 
 
-def test_grouped_reporter_shared_across_segments():
-    # two segments stored in one array; queries confined to one segment
+def test_reporter_shared_across_segments():
+    # two segments stored in one array, one pred over both; queries
+    # confined to one segment
     vals = np.array([4, 4, 2, 9, 4, 9, 9, 2])
-    groups = np.array([0, 0, 0, 0, 1, 1, 1, 1])
-    pred = make_pred(vals, groups)
+    pred = make_pred(vals)
     rep = ColorReporter(vals, pred=pred)
     cnt = ColorCounter(vals, pred=pred)
     # segment 1 is positions 4..7 holding [4, 9, 9, 2]

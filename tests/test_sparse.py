@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -87,7 +88,11 @@ def test_matches_oracle(arr, f, data):
     a = data.draw(st.integers(1, arr.n))
     b = data.draw(st.integers(a, arr.n))
     k = data.draw(st.sampled_from([1, 2, max(1, arr.sigma // 2), arr.n]))
-    assert ix.topk(a, b, k) == oracle_topk(arr, a, b, k)
+    want = oracle_topk(arr, a, b, k)
+    assert ix.topk(a, b, k) == want
+    # ranges this short are scanned; the descent must agree on them too
+    if arr.sigma > 1:
+        assert arr.list_from_ranks(ix.core._descend(a, b, k)) == want
 
 
 def test_visit_bound():
@@ -106,6 +111,9 @@ def test_visit_bound():
             k = int(rng.integers(1, sigma + 1))
             ix.topk(a, b, k)
             assert ix.last_visited <= bound
+            # every range of n = 256 is scanned, so walk the descent too
+            ix.core._descend(a, b, k)
+            assert ix.core.last_visited <= bound
 
 
 def test_exhaustive_small_both_f():
@@ -119,7 +127,11 @@ def test_exhaustive_small_both_f():
             for a in range(1, n + 1):
                 for b in range(a, n + 1):
                     for k in (1, 2, sigma, n):
-                        assert ix.topk(a, b, k) == oracle_topk(arr, a, b, k)
+                        want = oracle_topk(arr, a, b, k)
+                        assert ix.topk(a, b, k) == want
+                        if sigma > 1:
+                            descent = ix.core._descend(a, b, k)
+                            assert arr.list_from_ranks(descent) == want
 
 
 def random_surjective(rng, n, sigma):
@@ -227,7 +239,7 @@ def test_root_width_scan_matches_oracle_at_the_threshold():
                         got = ix.topk(a, b, k)
                         assert got == oracle_topk(arr, a, b, k), (w, a, k)
                     if w <= fan:
-                        assert core.last_visited == w
+                        assert core.last_scanned == w
 
 
 def test_root_width_scan_keeps_the_visit_bound():
@@ -241,7 +253,8 @@ def test_root_width_scan_keeps_the_visit_bound():
         for w in range(1, fan + 1):
             a = int(rng.integers(1, n - w + 2))
             ix.topk(a, a + w - 1, int(rng.integers(1, sigma + 1)))
-            assert ix.last_visited == w <= bound
+            assert ix.last_scanned == w <= bound
+            assert ix.last_visited == 0
 
 
 def test_measured_bits_are_the_core_arrays_only():
@@ -299,5 +312,52 @@ def test_frontier_walk_matches_oracle(n, sigma, f, levels):
     for w in (fan + 1, 8 * fan, n // 3, n):
         for a in {1, n - w + 1, int(rng.integers(1, n - w + 2))}:
             for k in (1, 16, 1024, sigma + 1):
-                assert ix.topk(a, a + w - 1, k) == oracle_topk(
-                    arr, a, a + w - 1, k), (w, a, k)
+                want = oracle_topk(arr, a, a + w - 1, k)
+                assert ix.topk(a, a + w - 1, k) == want, (w, a, k)
+                # the scan takes some of these widths: walk the frontier too
+                descent = ix.core._descend(a, a + w - 1, k)
+                assert arr.list_from_ranks(descent) == want, (w, a, k)
+
+
+def rule_cores(rng, n):
+    """The f = 2 and f = 3 cores over arrays of sigma 4, 64 and 4096."""
+    for sigma in (4, 64, 4096):
+        arr = random_surjective(rng, n, sigma)
+        for f in (2, 3):
+            yield arr, SparseTopK(arr, f=f)
+
+
+def test_scan_rule_picks_the_path_at_its_width():
+    rng = np.random.default_rng(73)
+    n = 40000
+    for arr, ix in rule_cores(rng, n):
+        for k in (1, 16, 127, 1024):
+            width = ix.core.scan_width(k)
+            assert width + 1 <= n
+            for w in (width, width + 1):
+                a = int(rng.integers(1, n - w + 2))
+                b = a + w - 1
+                assert ix.topk(a, b, k) == oracle_topk(arr, a, b, k), (w, k)
+                assert ix.last_scanned == (w if w == width else 0)
+
+
+def test_scan_width_is_at_least_the_fan_out_and_grows_with_k():
+    rng = np.random.default_rng(79)
+    for n in (5000, 40000):
+        for _, ix in rule_cores(rng, n):
+            core = ix.core
+            widths = [core.scan_width(k) for k in range(1, 5000)]
+            assert min(widths) >= 1 << core.levels[1]
+            assert all(x <= y for x, y in zip(widths, widths[1:]))
+            # k = 4999 >= sigma reaches the width no range is scanned past
+            assert widths[-1] == core._widest
+
+
+def test_scan_rule_adds_no_parameter():
+    def names(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert names(_SparseCore.__init__) == ["self", "arr", "f"]
+    assert names(SparseTopK.__init__) == ["self", "arr", "f"]
+    assert names(OptimalTopK.__init__) == ["self", "arr"]
+    assert names(_SparseCore.scan_width) == ["self", "k"]

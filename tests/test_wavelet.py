@@ -99,6 +99,25 @@ def test_count_instrumentation_matches_oracle():
                     assert m <= oracle_distinct_count(arr, lo, hi)
 
 
+def test_level_pred_matches_the_node_local_pred():
+    # each level keeps one pred over all its nodes; a rank's node is a
+    # function of the rank, so it must equal the pred computed per node
+    rng = np.random.default_rng(71)
+    n, sigma = 3000, 300
+    colors = list(range(sigma)) + list(rng.integers(0, sigma, n - sigma))
+    rng.shuffle(colors)
+    ix = WaveletTopK(new_color_array(colors, dict(enumerate(range(sigma)))))
+    for level, rep in ix._reporters.items():
+        vals = rep.values.tolist()
+        last, want = {}, []
+        for i, v in enumerate(vals):
+            key = (v >> (ix.height - level), v)
+            want.append(last.get(key, -1))
+            last[key] = i
+        assert ix._counters[level].pred is rep.pred
+        assert rep.pred.tolist() == want
+
+
 def test_measured_bits_counts_every_held_array_once(held_bits):
     rng = np.random.default_rng(67)
     n, sigma = 1 << 16, 256
