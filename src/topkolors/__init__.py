@@ -28,7 +28,6 @@ from .errors import (
 from .model import (
     ColorArray,
     ColorList,
-    QuerySpec,
     check_range,
     new_color_array,
     oracle_distinct_count,
@@ -36,7 +35,7 @@ from .model import (
     prank,
 )
 from .online import ColorStream, open_stream
-from .optimal import OptimalTopK, two_list_union
+from .optimal import OptimalTopK
 from .snapshot import load_index, save_index
 from .sparse import SparseTopK
 from .wavelet import WaveletTopK
@@ -59,7 +58,6 @@ __all__ = [
     "OutOfBounds",
     "OverlappingRanges",
     "ParseError",
-    "QuerySpec",
     "RangeHeapMerger",
     "SeparatorInContent",
     "SnapshotCorrupt",
@@ -78,5 +76,4 @@ __all__ = [
     "prank",
     "relevance_weights",
     "save_index",
-    "two_list_union",
 ]

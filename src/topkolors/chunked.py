@@ -1,4 +1,4 @@
-"""The `chunked` index kind: one f=2 sparse core over the array's ranks.
+"""The `chunked` index kind: SparseTopK with f = 2 under its own name.
 
 The paper reaches O(N log sigma) bits by cutting the array into chunks with
 a per-chunk color summary, and word-packing chunks when sigma is small.
@@ -12,8 +12,8 @@ kind by class.
 
 from __future__ import annotations
 
-from .model import ColorArray, ColorList, QuerySpec, check_range
-from .sparse import _SparseCore
+from .model import ColorArray
+from .sparse import SparseTopK
 
 # stays until the benchmark retires its chunked.* tracing hooks
 _WORD_TABLE_CAP = 1 << 14
@@ -40,28 +40,16 @@ def _word_topk(table: dict, bits: int, word: int, lo: int, hi: int,
     return res
 
 
-class ChunkedTopK:
-    # stays until the benchmark retires its chunked.* tracing hooks
+class ChunkedTopK(SparseTopK):
+    # __init__, topk and topk_ranks stay in this class body, and last_path
+    # and _word_table on its instances, until the benchmark retires its
+    # chunked.* tracing hooks
     def __init__(self, arr: ColorArray):
-        self.arr = arr
-        self.n = arr.n
-        self._core = _SparseCore(arr, 2)
-        # stays until the benchmark retires its chunked.* tracing hooks
+        super().__init__(arr, 2)
         self.last_path = "core"
-        # stays until the benchmark retires its chunked.* tracing hooks
         self._word_table: dict = {}
 
-    # stays until the benchmark retires its chunked.* tracing hooks
     def topk_ranks(self, a: int, b: int, k: int) -> list[int]:
-        return self._core.topk_ranks(a, b, k)
+        return self.core.topk_ranks(a, b, k)
 
-    # stays until the benchmark retires its chunked.* tracing hooks
-    def topk(self, a: int, b: int, k: int) -> ColorList:
-        check_range(self.n, a, b, k)
-        return self.arr.list_from_ranks(self._core.topk_ranks(a, b, k))
-
-    def query(self, q: QuerySpec) -> ColorList:
-        return self.topk(q.a, q.b, q.k)
-
-    def measured_bits(self) -> int:
-        return self._core.measured_bits()
+    topk = SparseTopK.topk

@@ -24,16 +24,13 @@ from .errors import (
 )
 from .model import oracle_topk
 from .snapshot import (
-    KIND_BYTES,
+    KINDS,
     load_index,
     parse_array_text,
     parse_corpus_text,
     save_index,
 )
-from .chunked import ChunkedTopK
-from .optimal import OptimalTopK
 from .sparse import SparseTopK
-from .wavelet import WaveletTopK
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -44,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="build an index snapshot from text input")
-    b.add_argument("--kind", required=True, choices=sorted(KIND_BYTES))
+    b.add_argument("--kind", required=True, choices=sorted(KINDS))
     b.add_argument("--input", required=True, help="text input file")
     b.add_argument("--output", required=True, help="snapshot file to write")
     b.add_argument("--f", type=int, default=2,
@@ -73,19 +70,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_build(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if args.kind == "docs":
-        collection, weights = parse_corpus_text(text)
-        index = DocumentIndex(collection, weights)
+    cls = KINDS[args.kind]
+    if cls is DocumentIndex:
+        index = cls(*parse_corpus_text(text))
+    elif cls is SparseTopK:
+        index = cls(parse_array_text(text), f=args.f)
     else:
-        arr = parse_array_text(text)
-        if args.kind == "wavelet":
-            index = WaveletTopK(arr)
-        elif args.kind == "sparse":
-            index = SparseTopK(arr, f=args.f)
-        elif args.kind == "optimal":
-            index = OptimalTopK(arr)
-        else:
-            index = ChunkedTopK(arr)
+        index = cls(parse_array_text(text))
     save_index(args.output, index)
     print(f"built {args.kind} snapshot: {args.output}")
     return 0

@@ -29,6 +29,7 @@ range in the given order.
 from __future__ import annotations
 
 import bisect
+import operator
 from heapq import heappop, heappush
 
 import numpy as np
@@ -119,11 +120,6 @@ class DocumentCollection:
     def n(self) -> int:
         return len(self.text)
 
-    def doc_of(self, pos: int) -> int:
-        """Document owning text position pos (separators count with their
-        preceding document)."""
-        return int(np.searchsorted(self._ends, pos, side="right"))
-
     def count_occurrences(self, doc_index: int, pattern: bytes) -> int:
         """Direct-scan occurrence count, used as a test oracle."""
         d = self.docs[doc_index]
@@ -202,18 +198,28 @@ class DocumentIndex:
             except (TypeError, ValueError) as exc:
                 raise BadParameter(
                     f"weight of document {j} is not an integer: {exc}") from exc
-        self.suffix_array = build_suffix_array(collection.text)
-        slot_pos = self.suffix_array
-        text_bytes = np.frombuffer(collection.text, dtype=np.uint8)
-        is_sep = text_bytes[slot_pos] == SEPARATOR
-        owners = np.searchsorted(collection._ends, slot_pos, side="right")
-        colors = np.where(is_sep, s, owners).astype(np.int32)
         dummy_prio = min(self.weights.values()) - 1
         # the separator dummy sorts one below the smallest weight
         if dummy_prio < INT64_MIN or max(self.weights.values()) > INT64_MAX:
             raise BadParameter(
                 f"weights must lie in [{INT64_MIN + 1}, {INT64_MAX}]"
             )
+        if t_values is None:
+            # every power of two up to the longest document
+            t_values = [1 << i
+                        for i in range(collection.max_doc_len.bit_length())]
+        try:
+            self.t_values = sorted({operator.index(t) for t in t_values})
+        except TypeError as exc:
+            raise BadParameter(f"thresholds must be integers: {exc}") from None
+        if self.t_values and self.t_values[0] < 1:
+            raise BadParameter(f"threshold {self.t_values[0]} must be >= 1")
+        self.suffix_array = build_suffix_array(collection.text)
+        slot_pos = self.suffix_array
+        text_bytes = np.frombuffer(collection.text, dtype=np.uint8)
+        is_sep = text_bytes[slot_pos] == SEPARATOR
+        owners = np.searchsorted(collection._ends, slot_pos, side="right")
+        colors = np.where(is_sep, s, owners).astype(np.int32)
         prio = np.asarray(
             [self.weights[j] for j in range(s)] + [dummy_prio],
             dtype=np.int64,
@@ -226,16 +232,6 @@ class DocumentIndex:
         counts = np.bincount(colors, minlength=s + 1)
         ends = np.cumsum(counts)
         self._occ_slots = np.split(by_color, ends[:s])[:s]
-        if t_values is None:
-            t_values = []
-            t = 1
-            while t <= collection.max_doc_len:
-                t_values.append(t)
-                t *= 2
-        self.t_values = sorted(set(int(t) for t in t_values))
-        for t in self.t_values:
-            if t < 1:
-                raise BadParameter(f"threshold {t} must be >= 1")
         # each slot's occurrence index inside its document; t = 1 is served
         # by the main index, so it gets no anchor set
         occ = np.empty(len(colors), dtype=slot_dtype)

@@ -14,7 +14,6 @@ value alongside the color.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -30,18 +29,6 @@ from .errors import (
 
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
-
-
-@dataclass(frozen=True)
-class QuerySpec:
-    """A validated top-K range query: positions a..b inclusive, 1-based."""
-
-    a: int
-    b: int
-    k: int
-
-    def validate(self, n: int) -> None:
-        check_range(n, self.a, self.b, self.k)
 
 
 def check_range(n: int, a: int, b: int, k: int = 1) -> None:
@@ -70,12 +57,6 @@ class ColorList:
         out = cls.__new__(cls)
         out.entries = tuple(pairs)
         return out
-
-    def colors(self) -> list[int]:
-        return [c for c, _ in self.entries]
-
-    def priorities(self) -> list[int]:
-        return [p for _, p in self.entries]
 
     def check(self) -> None:
         """Assert the descending-order and distinct-color invariants."""

@@ -2,17 +2,14 @@
 
 A stream wraps any index exposing topk(a, b, k) and yields the range's
 colors one at a time in the same order a single big query would produce.
-Internally it works in stages: stage i serves output positions 2^i through
-2^(i+1)-1 out of a list of length 2^(i+1)-1 requested from the index, and
-the moment a stage serves its first element the next stage's list is
-fetched, so the element after any pause is already paid for.  The total of
-all k values requested from the index stays within 8k+16 after k pulls,
-and a short answer from the index marks the stream as final.
+It holds one list from the index, starting at length 1, and only when a
+pull runs past its end requests the next, of length 2 * len + 1, whose
+prefix is the list already served.  The total of all k values requested
+from the index stays within 8k+16 after k pulls, and a short answer from
+the index marks the stream as final.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from .model import check_range
 
@@ -30,11 +27,9 @@ class ColorStream:
         self._a = a
         self._b = b
         self.elements_requested = 0
-        self._stage = 0
         self._no_more = False
-        self._next_list = None
-        self._emitted_in_stage = 0
-        self._pending = deque(self._request(1))
+        self._list = self._request(1)
+        self._served = 0
 
     def _request(self, k: int):
         self.elements_requested += k
@@ -47,21 +42,13 @@ class ColorStream:
         return self
 
     def __next__(self):
-        while not self._pending:
-            if self._next_list is None:
-                raise StopIteration
-            self._stage += 1
-            lo = (1 << self._stage) - 1
-            hi = (1 << (self._stage + 1)) - 1
-            self._pending = deque(list(self._next_list)[lo:hi])
-            self._next_list = None
-            self._emitted_in_stage = 0
-            if not self._pending:
-                raise StopIteration
-        if self._emitted_in_stage == 0 and not self._no_more:
-            self._next_list = self._request((1 << (self._stage + 2)) - 1)
-        self._emitted_in_stage += 1
-        return self._pending.popleft()
+        i = self._served
+        if i == len(self._list) and not self._no_more:
+            self._list = self._request(2 * i + 1)
+        if i == len(self._list):
+            raise StopIteration
+        self._served = i + 1
+        return self._list[i]
 
 
 def open_stream(index, a: int, b: int) -> ColorStream:

@@ -38,6 +38,11 @@ MAGIC = b"TKSNAP"
 VERSION = 1
 KIND_BYTES = {"wavelet": 1, "sparse": 2, "optimal": 3, "chunked": 4, "docs": 5}
 KIND_NAMES = {v: k for k, v in KIND_BYTES.items()}
+# kind name -> the class it rebuilds; a snapshot records its index's exact
+# class, since OptimalTopK and ChunkedTopK are SparseTopKs too
+KINDS = {"wavelet": WaveletTopK, "sparse": SparseTopK, "optimal": OptimalTopK,
+         "chunked": ChunkedTopK, "docs": DocumentIndex}
+_KIND_OF = {cls: kind for kind, cls in KINDS.items()}
 
 
 def _pack_sections(kind_byte: int, sections: list[bytes]) -> bytes:
@@ -138,30 +143,21 @@ def _docs_from_payload(payload: bytes) -> list[bytes]:
 
 
 def save_index(path: str, index) -> None:
-    if isinstance(index, WaveletTopK):
-        kind, params = "wavelet", {}
-    elif isinstance(index, SparseTopK):
-        kind, params = "sparse", {"f": index.f}
-    elif isinstance(index, OptimalTopK):
-        kind, params = "optimal", {}
-    elif isinstance(index, ChunkedTopK):
-        # the chunk length override is gone; the key stays for old readers
-        kind, params = "chunked", {"chunk_len_override": None}
-    elif isinstance(index, DocumentIndex):
-        kind = "docs"
+    kind = _KIND_OF.get(type(index))
+    if kind is None:
+        raise ParseError(f"cannot snapshot object of type {type(index).__name__}")
+    if kind == "docs":
         params = {
             "weights": [index.weights[j]
                         for j in range(index.collection.num_docs)],
             "t_values": index.t_values,
         }
-    else:
-        raise ParseError(f"cannot snapshot object of type {type(index).__name__}")
-    if kind == "docs":
         meta = {"kind": kind, "params": params}
         payload = _docs_payload(index.collection.docs)
     else:
         arr = index.arr
-        meta = {"kind": kind, "params": params, "n": arr.n, "sigma": arr.sigma}
+        meta = {"kind": kind, "params": _array_params(kind, index),
+                "n": arr.n, "sigma": arr.sigma}
         payload = _array_payload(arr)
     blob = _pack_sections(
         KIND_BYTES[kind],
@@ -169,6 +165,36 @@ def save_index(path: str, index) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(blob)
+
+
+def _array_params(kind: str, index) -> dict:
+    if kind == "sparse":
+        return {"f": index.f}
+    if kind == "chunked":
+        # the chunk length override is gone; the key stays for old readers
+        return {"chunk_len_override": None}
+    return {}
+
+
+def _array_kwargs(kind: str, params: dict) -> dict:
+    """Constructor arguments of an array kind, from its saved params."""
+    if kind == "sparse":
+        f = params.get("f")
+        if not _is_int(f) or f < 2:
+            raise SnapshotCorrupt(f"params 'f' must be an int >= 2, got {f!r}")
+        return {"f": f}
+    if kind == "chunked":
+        # a missing key reads as False, which is corrupt; a valid override
+        # from an older snapshot pinned a chunk length that no longer
+        # exists, so it is ignored
+        override = params.get("chunk_len_override", False)
+        if override is not None and (not _is_int(override) or override < 1):
+            raise SnapshotCorrupt(
+                "params 'chunk_len_override' must be null or an int >= 1, "
+                f"got {override!r}"
+            )
+    # older optimal snapshots carry the removed grid parameters; ignore them
+    return {}
 
 
 def load_index(path: str):
@@ -206,26 +232,7 @@ def load_index(path: str):
             raise SnapshotCorrupt(f"docs params rejected: {exc}") from exc
         return kind, index
     arr = _array_from_payload(meta, sections[1])
-    if kind == "wavelet":
-        return kind, WaveletTopK(arr)
-    if kind == "sparse":
-        f = params.get("f")
-        if not _is_int(f) or f < 2:
-            raise SnapshotCorrupt(f"params 'f' must be an int >= 2, got {f!r}")
-        return kind, SparseTopK(arr, f=f)
-    if kind == "optimal":
-        # older snapshots carry the removed grid parameters; ignore them
-        return kind, OptimalTopK(arr)
-    # a missing key reads as False, which is corrupt; a valid override from
-    # an older snapshot pinned a chunk length that no longer exists, so it
-    # is ignored
-    override = params.get("chunk_len_override", False)
-    if override is not None and (not _is_int(override) or override < 1):
-        raise SnapshotCorrupt(
-            "params 'chunk_len_override' must be null or an int >= 1, "
-            f"got {override!r}"
-        )
-    return kind, ChunkedTopK(arr)
+    return kind, KINDS[kind](arr, **_array_kwargs(kind, params))
 
 
 def _is_int(v) -> bool:

@@ -51,16 +51,19 @@ the other path ran.  Larger f means fewer levels (less space) but wider
 frontiers.
 
 _SparseCore is built over a ColorArray and answers in rank space (ranks
-dense in [0, sigma)); SparseTopK, OptimalTopK and ChunkedTopK turn its ranks
-back into (color, priority) pairs.
+dense in [0, sigma)); SparseTopK turns its ranks back into (color, priority)
+pairs.  OptimalTopK and ChunkedTopK are SparseTopK with f = 2 under the
+`optimal` and `chunked` kind names, which snapshots record by class.
 """
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import BadParameter
-from .model import ColorArray, ColorList, QuerySpec, check_range
+from .model import ColorArray, ColorList, check_range
 from .util import ceil_log2, floor_log2, nbits
 
 # children mapped by the root's first batch, at least; later batches double
@@ -77,6 +80,12 @@ class _SparseCore:
                  "last_visited", "last_scanned")
 
     def __init__(self, arr: ColorArray, f: int):
+        try:
+            f = operator.index(f)
+        except TypeError:
+            raise BadParameter(
+                f"level sparsification f must be an integer, got {f!r}"
+            ) from None
         if f < 2:
             raise BadParameter(f"level sparsification needs f >= 2, got {f}")
         # the array, not a copy of its ranks: the scan reads it
@@ -245,14 +254,17 @@ class _SparseCore:
 
 
 class SparseTopK:
+    """The sparse core over an array, answering in (color, priority) pairs:
+    the one facade every kind but WaveletTopK is built on."""
+
     def __init__(self, arr: ColorArray, f: int = 2):
         self.arr = arr
         self.n = arr.n
-        self.f = f
         self.core = _SparseCore(arr, f)
+        self.f = int(f)
         # at most f + 1 regular important levels, plus the leaf level when
         # the stride does not divide the tree height
-        assert len(self.core.levels) <= f + 2
+        assert len(self.core.levels) <= self.f + 2
 
     @property
     def levels(self) -> list[int]:
@@ -260,13 +272,7 @@ class SparseTopK:
 
     def topk(self, a: int, b: int, k: int) -> ColorList:
         check_range(self.n, a, b, k)
-        ranks = self.core.topk_ranks(a, b, k)
-        self.last_visited = self.core.last_visited
-        self.last_scanned = self.core.last_scanned
-        return self.arr.list_from_ranks(ranks)
-
-    def query(self, q: QuerySpec) -> ColorList:
-        return self.topk(q.a, q.b, q.k)
+        return self.arr.list_from_ranks(self.core.topk_ranks(a, b, k))
 
     def measured_bits(self) -> int:
         return self.core.measured_bits()

@@ -31,7 +31,7 @@ import numpy as np
 
 from .bits import RankSelectBits
 from .errors import OutOfBounds
-from .model import ColorArray, ColorList, QuerySpec, check_range
+from .model import ColorArray, ColorList, check_range
 from .primitives import ColorCounter, ColorReporter, make_pred
 from .util import ceil_log2, nbits
 
@@ -135,9 +135,6 @@ class WaveletTopK:
         self.last_visited = visited
         out.sort(reverse=True)
         return self.arr.list_from_ranks(out)
-
-    def query(self, q: QuerySpec) -> ColorList:
-        return self.topk(q.a, q.b, q.k)
 
     def measured_bits(self) -> int:
         total = nbits(*self._offsets)

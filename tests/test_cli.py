@@ -63,7 +63,7 @@ def test_array_snapshot_round_trip(tmp_path, make):
         b = int(rng.integers(a, 121))
         k = int(rng.integers(1, 15))
         assert loaded.topk(a, b, k) == index.topk(a, b, k)
-    if isinstance(index, SparseTopK):
+    if type(index) is SparseTopK:
         assert loaded.f == 3
 
 
@@ -573,6 +573,56 @@ DOCS_BLOB_T123 = bytes.fromhex(
     "73223a205b322c20362c20345d7d7d1800000006000000616261626162040000006162"
     "6261020000006262efeac797"
 )
+
+
+# the canonical array saved as each array kind (sparse with f = 3); the
+# format is fixed, so save_index must reproduce these bytes exactly
+ARRAY_BLOBS = {
+    "wavelet": bytes.fromhex(
+        "544b534e41500101350000007b226b696e64223a2022776176656c6574222c20226e22"
+        "3a20382c2022706172616d73223a207b7d2c20227369676d61223a20347d4000000002"
+        "0000000000000001000000000000000200000001000000030000000200000004000000"
+        "00000000020000000000000007000000000000000500000000000000435360c2"
+    ),
+    "sparse": bytes.fromhex(
+        "544b534e415001023a0000007b226b696e64223a2022737061727365222c20226e223a"
+        "20382c2022706172616d73223a207b2266223a20337d2c20227369676d61223a20347d"
+        "4000000002000000000000000100000000000000020000000100000003000000020000"
+        "000400000000000000020000000000000007000000000000000500000000000000f2e1"
+        "cd81"
+    ),
+    "optimal": bytes.fromhex(
+        "544b534e41500103350000007b226b696e64223a20226f7074696d616c222c20226e22"
+        "3a20382c2022706172616d73223a207b7d2c20227369676d61223a20347d4000000002"
+        "0000000000000001000000000000000200000001000000030000000200000004000000"
+        "00000000020000000000000007000000000000000500000000000000e0168628"
+    ),
+    "chunked": bytes.fromhex(
+        "544b534e415001044f0000007b226b696e64223a20226368756e6b6564222c20226e22"
+        "3a20382c2022706172616d73223a207b226368756e6b5f6c656e5f6f76657272696465"
+        "223a206e756c6c7d2c20227369676d61223a20347d4000000002000000000000000100"
+        "0000000000000200000001000000030000000200000004000000000000000200000000"
+        "00000007000000000000000500000000000000ef3256de"
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ARRAY_BLOBS))
+def test_array_snapshot_bytes_are_pinned(tmp_path, kind):
+    make = {"wavelet": WaveletTopK, "sparse": lambda a: SparseTopK(a, f=3),
+            "optimal": OptimalTopK, "chunked": ChunkedTopK}[kind]
+    index = make(canon())
+    path = str(tmp_path / "snap.bin")
+    save_index(path, index)
+    assert open(path, "rb").read() == ARRAY_BLOBS[kind]
+    open(path, "wb").write(ARRAY_BLOBS[kind])
+    loaded_kind, loaded = load_index(path)
+    assert loaded_kind == kind and type(loaded) is type(index)
+    arr = canon()
+    for a in range(1, 9):
+        for b in range(a, 9):
+            for k in (1, 2, 4):
+                assert loaded.topk(a, b, k) == oracle_topk(arr, a, b, k)
 
 
 def test_docs_snapshot_listing_t_one_answers_from_main_index(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from topkolors import docs as docs_module
 from topkolors.docs import (
     DocumentCollection,
     DocumentIndex,
@@ -81,6 +82,17 @@ def test_custom_t_values():
         ix.t_mine("ab", 2, 1)
     with pytest.raises(BadParameter):
         DocumentIndex(coll, {0: 2, 1: 6}, t_values=[0])
+
+
+def test_bad_t_values_raise_before_anything_is_built(monkeypatch):
+    def fail(text):
+        raise AssertionError("suffix array built before t_values were checked")
+
+    monkeypatch.setattr(docs_module, "build_suffix_array", fail)
+    coll = DocumentCollection(["abab", "ba"])
+    for t_values in (["x"], [None], [1.5], [2, 0], [-3], 4):
+        with pytest.raises(BadParameter):
+            DocumentIndex(coll, {0: 2, 1: 6}, t_values=t_values)
 
 
 def test_input_validation():

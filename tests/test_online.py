@@ -22,8 +22,14 @@ def random_array(rng, n, sigma):
 
 def test_canonical_full_drain():
     s = open_stream(OptimalTopK(CANON), 2, 6)
-    assert list(s) == [(2, 7), (0, 4), (1, 2)]
-    # request ledger: 1 up front, 3 on the first element, 7 on the second
+    got, ledger = [], []
+    for pair in s:
+        got.append(pair)
+        ledger.append(s.elements_requested)
+    assert got == [(2, 7), (0, 4), (1, 2)]
+    # request ledger: 1 up front, 3 on the second pull, and 7 on the
+    # fourth, which runs past the 3 colors and finds the range exhausted
+    assert ledger == [1, 4, 4]
     assert s.elements_requested == 11
     with pytest.raises(StopIteration):
         next(s)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from topkolors.errors import InvalidRange
-from topkolors.model import ColorList, QuerySpec, new_color_array, oracle_topk
-from topkolors.optimal import OptimalTopK, two_list_union
+from topkolors.model import new_color_array, oracle_topk
+from topkolors.optimal import OptimalTopK
 from topkolors.sparse import SparseTopK
 
 CANON_COLORS = [2, 0, 1, 0, 2, 1, 3, 2]
@@ -22,31 +22,12 @@ def random_array(rng, n, sigma):
     return new_color_array(dense, prio)
 
 
-def test_two_list_union_frozen():
-    lx = ColorList([(2, 7), (0, 4)])
-    ly = ColorList([(2, 7), (1, 2)])
-    assert two_list_union(lx, ly, 3) == [(2, 7), (0, 4), (1, 2)]
-    assert two_list_union(lx, ly, 1) == [(2, 7)]
-    assert two_list_union(ColorList([]), ly, 5) == [(2, 7), (1, 2)]
-    assert two_list_union(ColorList([]), ColorList([]), 2) == []
-    # the same color arriving from both sides is reported once
-    assert two_list_union(ColorList([(3, 5)]), ColorList([(3, 5)]), 5) == [(3, 5)]
-
-
-def test_two_list_union_priority_ties_break_by_color():
-    assert two_list_union(ColorList([(1, 5)]), ColorList([(3, 5)]), 2) == [
-        (3, 5),
-        (1, 5),
-    ]
-
-
 def test_canonical_queries_default_params():
     ix = OptimalTopK(canon())
     assert ix.topk(2, 6, 2) == [(2, 7), (0, 4)]
     assert ix.topk(1, 8, 4) == [(2, 7), (3, 5), (0, 4), (1, 2)]
     assert ix.topk(3, 3, 1) == [(1, 2)]
     assert ix.topk(4, 6, 3) == [(2, 7), (0, 4), (1, 2)]
-    assert ix.query(QuerySpec(2, 6, 1)) == [(2, 7)]
     with pytest.raises(InvalidRange):
         ix.topk(0, 3, 1)
     with pytest.raises(InvalidRange):

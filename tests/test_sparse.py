@@ -24,8 +24,11 @@ def test_important_levels_small():
 
 
 def test_f_validation():
-    with pytest.raises(BadParameter):
-        SparseTopK(new_color_array(A, P), f=1)
+    arr = new_color_array(A, P)
+    # a non-integer f would save a snapshot that load_index refuses
+    for f in (1, 2.5, "3", None):
+        with pytest.raises(BadParameter):
+            SparseTopK(arr, f=f)
 
 
 def test_descend_interval_example():
@@ -110,7 +113,7 @@ def test_visit_bound():
             b = int(rng.integers(a, n + 1))
             k = int(rng.integers(1, sigma + 1))
             ix.topk(a, b, k)
-            assert ix.last_visited <= bound
+            assert ix.core.last_visited <= bound
             # every range of n = 256 is scanned, so walk the descent too
             ix.core._descend(a, b, k)
             assert ix.core.last_visited <= bound
@@ -211,15 +214,9 @@ def test_measured_bits_counts_every_array_once():
 
 def root_width_cores(arr):
     """Every wrapper of the core over arr, with the core it queries."""
-    out = []
-    for f in (2, 3):
-        ix = SparseTopK(arr, f=f)
-        out.append((ix, ix.core))
-    ix = OptimalTopK(arr)
-    out.append((ix, ix._global))
-    ix = ChunkedTopK(arr)
-    out.append((ix, ix._core))
-    return out
+    ixs = [SparseTopK(arr, f=2), SparseTopK(arr, f=3), OptimalTopK(arr),
+           ChunkedTopK(arr)]
+    return [(ix, ix.core) for ix in ixs]
 
 
 def test_root_width_scan_matches_oracle_at_the_threshold():
@@ -253,8 +250,8 @@ def test_root_width_scan_keeps_the_visit_bound():
         for w in range(1, fan + 1):
             a = int(rng.integers(1, n - w + 2))
             ix.topk(a, a + w - 1, int(rng.integers(1, sigma + 1)))
-            assert ix.last_scanned == w <= bound
-            assert ix.last_visited == 0
+            assert ix.core.last_scanned == w <= bound
+            assert ix.core.last_visited == 0
 
 
 def test_measured_bits_are_the_core_arrays_only():
@@ -338,7 +335,7 @@ def test_scan_rule_picks_the_path_at_its_width():
                 a = int(rng.integers(1, n - w + 2))
                 b = a + w - 1
                 assert ix.topk(a, b, k) == oracle_topk(arr, a, b, k), (w, k)
-                assert ix.last_scanned == (w if w == width else 0)
+                assert ix.core.last_scanned == (w if w == width else 0)
 
 
 def test_scan_width_is_at_least_the_fan_out_and_grows_with_k():

@@ -50,6 +50,6 @@ def test_instance_attributes_the_benchmark_reads_exist():
         ix.topk(1, arr.n, 2)
         for name in names:
             assert hasattr(ix, name), (cls.__name__, name)
-    for core in (OptimalTopK(arr)._global, ChunkedTopK(arr)._core):
+    for core in (OptimalTopK(arr)._global, ChunkedTopK(arr).core):
         core.topk_ranks(1, arr.n, 2)
         assert hasattr(core, "last_visited")
