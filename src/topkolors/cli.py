@@ -187,6 +187,11 @@ def _cmd_stats(args) -> int:
     if kind == "sparse":
         lines["f"] = index.f
         lines["levels"] = ",".join(str(v) for v in index.core.levels)
+    lines["rank_bits"] = 8 * index.arr.ranks.itemsize
+    # the main core for docs; WaveletTopK has none and scans no range
+    core = index.index.core if kind == "docs" else getattr(index, "core", None)
+    for k in (1, 16, 1024):
+        lines[f"scan_width_k{k}"] = core.scan_width(k) if core else 0
     for key, value in lines.items():
         print(f"#stat {key}={value}")
     return 0

@@ -330,7 +330,7 @@ class DocumentIndex:
 
 
 def _color_array_bits(arr: ColorArray) -> int:
-    return nbits(arr.colors, arr.priority_of, arr.rank_of, arr.color_of_rank)
+    return nbits(arr.ranks, arr.priority_of, arr.rank_of, arr.color_of_rank)
 
 
 def naive_ranked_list(collection, weights, pattern, k):

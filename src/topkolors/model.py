@@ -93,22 +93,27 @@ class ColorList:
 
 
 class ColorArray:
-    """An immutable colored array with normalized color ranks.
+    """An immutable colored array, held as per-position color ranks.
 
     Attributes:
-        colors: int32 array of length N, values in [0, sigma).
+        ranks: the one per-position array: each position's 0-based
+            effective rank, uint16 when sigma <= 2^16 and int32 otherwise.
+            The sparse core's scan reads slices of it and its build sorts
+            it, with no gather through rank_of.
         sigma: number of distinct colors (color ids are exactly 0..sigma-1).
         priority_of: int64 array, original priority per color id.
         rank_of: int32 array, 0-based effective rank per color id
             (higher rank means higher priority; ranks are a permutation of
             0..sigma-1 obtained by sorting colors by (priority, color id)).
         color_of_rank: inverse permutation of rank_of.
+
+    colors, the int32 color id of every position, is derived on each read
+    as color_of_rank[ranks]; it equals the array the constructor was given.
     """
 
-    __slots__ = ("colors", "sigma", "priority_of", "rank_of", "color_of_rank")
+    __slots__ = ("ranks", "sigma", "priority_of", "rank_of", "color_of_rank")
 
     def __init__(self, colors: np.ndarray, priority_of: np.ndarray):
-        self.colors = colors
         self.sigma = len(priority_of)
         self.priority_of = priority_of
         order = np.lexsort((np.arange(self.sigma), priority_of))
@@ -116,14 +121,18 @@ class ColorArray:
         rank_of[order] = np.arange(self.sigma, dtype=np.int32)
         self.rank_of = rank_of
         self.color_of_rank = order.astype(np.int32)
+        # never uint8: numpy sorts it several times slower than uint16
+        dtype = np.uint16 if self.sigma <= 1 << 16 else np.int32
+        self.ranks = rank_of.astype(dtype)[colors]
 
     @property
     def n(self) -> int:
-        return len(self.colors)
+        return len(self.ranks)
 
-    def ranks(self) -> np.ndarray:
-        """Per-position effective ranks (int32)."""
-        return self.rank_of[self.colors]
+    @property
+    def colors(self) -> np.ndarray:
+        """Per-position color ids (int32), derived from the ranks."""
+        return self.color_of_rank[self.ranks]
 
     def list_from_ranks(self, ranks: Iterable[int]) -> ColorList:
         """Build a ColorList from 0-based effective ranks, highest first."""
@@ -173,13 +182,13 @@ def new_color_array(
         if not INT64_MIN <= p <= INT64_MAX:
             raise BadParameter(f"priority {p} of color {c} is outside int64")
         prio[c] = p
-    return ColorArray(arr.astype(np.int32), prio)
+    return ColorArray(arr, prio)
 
 
 def oracle_topk(arr: ColorArray, a: int, b: int, k: int) -> ColorList:
     """Top-K distinct colors in arr[a..b] by direct scan, highest first."""
     check_range(arr.n, a, b, k)
-    present = np.unique(arr.colors[a - 1 : b])
+    present = np.unique(arr.color_of_rank[arr.ranks[a - 1 : b]])
     order = sorted(
         (int(c) for c in present),
         key=lambda c: (int(arr.priority_of[c]), c),
@@ -191,7 +200,7 @@ def oracle_topk(arr: ColorArray, a: int, b: int, k: int) -> ColorList:
 def oracle_distinct_count(arr: ColorArray, a: int, b: int) -> int:
     """Number of distinct colors in arr[a..b] by direct scan."""
     check_range(arr.n, a, b)
-    return int(len(np.unique(arr.colors[a - 1 : b])))
+    return int(len(np.unique(arr.ranks[a - 1 : b])))
 
 
 def prank(c: int, priorities: Mapping[int, int]) -> int:

@@ -10,10 +10,11 @@ ranks, answering in rank space and converting back to (color, priority)
 pairs at the end.  The core stores one key array and its node offsets per
 important level, nothing else: 64.6 bits per element at sigma = 4096 and
 N = 2^18, whose levels are {0, 9, 12}.  A range no wider than the core's
-scan width, the descent's measured cost in scanned positions (about 3.2k
-positions at k = 1 and 32k at k = 1024 there), is answered by sorting its
-own ranks, read from the ColorArray the index already holds, so that rule
-stores nothing new.  A wider range walks a frontier of at most k nodes down
+scan width, the descent's measured cost in scanned positions (about 23.8k
+positions at k = 1 and 69k at k = 1024 there), is answered from its own
+ranks, one slice of the uint16 ranks the ColorArray already holds, so that
+rule stores nothing new: sorted below about 1.7k positions, and marked in
+a sigma-long presence mask read from the top above.  A wider range walks a frontier of at most k nodes down
 the levels, and tests each leaf under it with one searchsorted needle; the
 leaves found are the answer, in rank order.
 

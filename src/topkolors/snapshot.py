@@ -9,10 +9,12 @@ scratch.  Layout:
     crc32 u32 LE over everything before it
 
 Array kinds carry colors (int32 LE) then priorities (int64 LE) as the
-payload; the document kind carries each document length-prefixed.  Any
-structural defect, bad checksum, unknown version or kind raises
-SnapshotCorrupt; asking a loaded snapshot to be something it is not is
-KindMismatch territory and left to callers.
+payload; the document kind carries each document length-prefixed.  A
+ColorArray stores ranks, not colors, so its colors are derived
+(color_of_rank[ranks]) when it is saved, and the bytes are those of the
+colors it was built from.  Any structural defect, bad checksum, unknown
+version or kind raises SnapshotCorrupt; asking a loaded snapshot to be
+something it is not is KindMismatch territory and left to callers.
 
 Also here: the plain-text input formats the command line accepts, since
 they feed the same constructors.

@@ -18,18 +18,29 @@ are int32 when 2^level * M < 2^31 and int64 otherwise; needles share the
 keys' dtype, so numpy never casts the haystack.
 
 A query no wider than scan_width(k) is answered from its own ranks: the
-core reads rank_of[colors[a-1:b]] from the ColorArray it was built over,
-sorts those values and returns the k highest distinct ones.  scan_width(k)
-is the descent's estimated cost in scanned positions: a fixed cost per
-level step, plus a cost per unit of its work, the leaf needles
-min(sigma, k << leaf fan) and, when there is a middle level, the root
-children its first batches map, min(2^levels[1], 2k + 16).  Both constants
-are fitted to a sweep of the two paths' times (BENCH_scan_rule.json).  The
-width never falls below the root's fan-out and grows with k: at sigma =
-4096 and N = 2^18 (levels {0, 9, 12}) it is about 3.2k positions at k = 1
-and 32k at k = 1024, and at sigma = 4 about 1.5k whatever k.  The core keeps
-a reference to the array, not a copy of its ranks, so the rule stores
-nothing new.  WaveletTopK does not use it.
+core reads one slice, ranks[a-1:b], of the per-position ranks the
+ColorArray stores (uint16 up to sigma = 2^16), with no gather.  It takes
+the cheaper of two kernels.  A narrow slice is sorted, and the k highest
+distinct values kept, in O(w log w).  A wider one is marked in a
+sigma-long presence mask, whose set entries are read from the top, in
+O(w + sigma).  One cost rule on (w, sigma) picks the kernel: the sort
+costs w * log2(min(w, sigma)) comparisons, the mask _MASK_POSITION per
+position and _MASK_COLOR per color.  The mask takes over from about 1.7k
+positions at sigma = 4096 and 16k at sigma = 2^16 + 1, and never at
+sigma <= 64.
+
+scan_width(k) is the descent's estimated cost in scanned positions: a
+fixed cost per level step, plus a cost per unit of its work.  The units
+are the leaf needles, min(sigma, k + 2^leaf fan), since a leaf batch stops
+at the first node whose bound reaches k, and, when there is a middle
+level, the root children its first batches map, min(2^levels[1], 2k + 16).
+All four constants are fitted to a sweep of the three paths' times
+(tools/scan_sweep.py, BENCH_mask_scan.json).  The width never falls below
+the root's fan-out and grows with k: at sigma = 4096 and N = 2^18 (levels
+{0, 9, 12}) it is about 23.8k positions at k = 1 and 69k at k = 1024, and
+at sigma = 4 about 11.6k whatever k.  The core keeps a reference to the
+array, not a copy of its ranks, so the rule stores nothing new.
+WaveletTopK does not use it.
 
 Any wider query walks a frontier down the important levels: at most k
 non-empty nodes of one level, highest ranks first, each with its interval.
@@ -58,6 +69,7 @@ pairs.  OptimalTopK and ChunkedTopK are SparseTopK with f = 2 under the
 
 from __future__ import annotations
 
+import math
 import operator
 
 import numpy as np
@@ -70,14 +82,37 @@ from .util import ceil_log2, floor_log2, nbits
 _FIRST_BATCH = 16
 # The descent's cost in scanned positions: per level step, and per unit of
 # its work (a leaf needle, or a root child mapped).  Fitted to the sweep of
-# scan and descent times recorded in BENCH_scan_rule.json.
-_STEP_WIDTH = 1520
-_UNIT_WIDTH = 6.4
+# the scans' and the descent's times recorded in BENCH_mask_scan.json.
+_STEP_WIDTH = 11500
+_UNIT_WIDTH = 30
+# the most scan_width grows per unit of k: one leaf needle, two root children
+_K_WIDTH = 3 * _UNIT_WIDTH
+# The scan's two kernels, costed in sort comparisons: the mask's per
+# position and per color of its sigma-long array.  Fitted to the sweep of
+# both kernels recorded in BENCH_mask_scan.json.
+_MASK_POSITION = 6.0
+_MASK_COLOR = 2.0
+
+
+def _mask_crossover(sigma: int, n: int) -> int:
+    """The least b - a whose range the scan reads through the presence
+    mask, n when no range of an n-long array is.  Sorting w ranks costs
+    w * log2(min(w, sigma)) and the mask _MASK_POSITION * w +
+    _MASK_COLOR * sigma; once the mask is the cheaper, it stays so for
+    every wider range, so a bisection finds the crossover."""
+    lo, hi = 1, n + 1
+    while lo < hi:
+        w = (lo + hi) // 2
+        if _MASK_POSITION * w + _MASK_COLOR * sigma < w * math.log2(min(w, sigma)):
+            hi = w
+        else:
+            lo = w + 1
+    return lo - 1
 
 
 class _SparseCore:
-    __slots__ = ("levels", "_arr", "_E", "_off", "_mult", "_widest",
-                 "last_visited", "last_scanned")
+    __slots__ = ("levels", "_arr", "_E", "_off", "_mult", "_w1",
+                 "_mask_from", "last_visited", "last_scanned")
 
     def __init__(self, arr: ColorArray, f: int):
         try:
@@ -88,9 +123,9 @@ class _SparseCore:
             ) from None
         if f < 2:
             raise BadParameter(f"level sparsification needs f >= 2, got {f}")
-        # the array, not a copy of its ranks: the scan reads it
+        # the array, not a copy of its ranks: the scan reads them
         self._arr = arr
-        ranks = arr.ranks()
+        ranks = arr.ranks
         n = len(ranks)
         height = ceil_log2(arr.sigma)
         stride = max(1, floor_log2(max(n, 1)) // f)
@@ -129,8 +164,10 @@ class _SparseCore:
                 pos[perm] = np.arange(n, dtype=np.int32)
                 off_p = off
         self._E, self._off, self._mult = tuple(keys), tuple(offs), tuple(mults)
-        # scan_width of every k >= 2^height: no wider range is scanned
-        self._widest = self.scan_width(1 << height) if height else 0
+        # scan_width(k) lies in [_w1, _w1 + _K_WIDTH * (k - 1)], so
+        # topk_ranks computes it only for a range between the two
+        self._w1 = self.scan_width(1)
+        self._mask_from = _mask_crossover(arr.sigma, n)
         self.last_visited = self.last_scanned = 0
 
     # stays until the benchmark retires its map_child tracing hook
@@ -210,9 +247,13 @@ class _SparseCore:
         """Widest range whose top k the scan answers: the descent's
         estimated cost in scanned positions, never below the root's
         fan-out.  The descent pays per level step, per leaf needle and per
-        root child its first batches map."""
+        root child its first batches map.  Its leaf batches stop at the
+        first node whose bound sum(min(size, 2^fan)) reaches k, so they
+        map about k + 2^fan needles."""
         lv = self.levels
-        units = min(self._arr.sigma, k << (lv[-1] - lv[-2]))
+        if len(lv) == 1:
+            return 0
+        units = min(self._arr.sigma, k + (1 << (lv[-1] - lv[-2])))
         if len(lv) > 2:
             units += min(1 << lv[1], 2 * k + _FIRST_BATCH)
         return max(1 << lv[1],
@@ -223,17 +264,25 @@ class _SparseCore:
         if len(self.levels) == 1:
             self.last_visited = self.last_scanned = 0
             return [0]
-        if b - a < self._widest and b - a < self.scan_width(k):
+        w = b - a
+        if w < self._w1 or (w < self._w1 + _K_WIDTH * (k - 1)
+                            and w < self.scan_width(k)):
             return self._scan(a, b, k)
         return self._descend(a, b, k)
 
     def _scan(self, a: int, b: int, k: int) -> list[int]:
-        """The top k of [a, b] from the range's own ranks, sorted."""
+        """The top k of [a, b] from the range's own ranks: sorted while
+        b - a is below _mask_from, else marked in a sigma-long presence
+        mask read from the top."""
         self.last_visited = 0
         self.last_scanned = b - a + 1
         arr = self._arr
-        r = arr.rank_of[arr.colors[a - 1 : b]]
-        r.sort()
+        r = arr.ranks[a - 1 : b]
+        if b - a >= self._mask_from:
+            seen = np.zeros(arr.sigma, dtype=bool)
+            seen[r] = True
+            return np.flatnonzero(seen)[: -k - 1 : -1].tolist()
+        r = np.sort(r)
         # keep the last of each run of equal ranks
         last = np.empty(len(r), dtype=bool)
         last[-1] = True

@@ -43,7 +43,8 @@ class WaveletTopK:
         self.arr = arr
         self.n = arr.n
         self.height = ceil_log2(arr.sigma)
-        ranks = arr.ranks()
+        # int32, whatever the array stores: the level arrays keep their dtype
+        ranks = arr.ranks.astype(np.int32)
         self._bits: list[RankSelectBits] = []
         self._offsets: list[np.ndarray] = []
         self._reporters: dict[int, ColorReporter] = {}

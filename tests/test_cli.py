@@ -639,3 +639,41 @@ def test_docs_snapshot_listing_t_one_answers_from_main_index(tmp_path):
             for k in (1, 3):
                 assert loaded.t_mine(p, t, k) == naive_t_mine(
                     coll, weights, p, t, k)
+
+
+@pytest.mark.parametrize("kind, f", [("wavelet", None), ("sparse", 3),
+                                     ("optimal", None), ("chunked", None)])
+def test_stats_prints_rank_bits_and_scan_widths(tmp_path, capsys, kind, f):
+    inp = write(tmp_path, "arr.txt", CANON_TEXT)
+    snap = str(tmp_path / "arr.snap")
+    argv = ["build", "--kind", kind, "--input", inp, "--output", snap]
+    assert cli.main(argv + (["--f", str(f)] if f else [])) == 0
+    capsys.readouterr()
+    assert cli.main(["stats", "--snapshot", snap]) == 0
+    out = capsys.readouterr().out
+    assert "#stat rank_bits=16\n" in out
+    _, index = load_index(snap)
+    for k in (1, 16, 1024):
+        # WaveletTopK scans no range
+        want = index.core.scan_width(k) if kind != "wavelet" else 0
+        assert f"#stat scan_width_k{k}={want}\n" in out
+
+
+def test_stats_reads_the_docs_main_core_and_wide_ranks(tmp_path, capsys):
+    inp = write(tmp_path, "corpus.txt", CORPUS_TEXT)
+    snap = str(tmp_path / "docs.snap")
+    assert cli.main(["build", "--kind", "docs",
+                     "--input", inp, "--output", snap]) == 0
+    capsys.readouterr()
+    assert cli.main(["stats", "--snapshot", snap]) == 0
+    out = capsys.readouterr().out
+    core = load_index(snap)[1].index.core
+    assert "#stat rank_bits=16\n" in out
+    for k in (1, 16, 1024):
+        assert f"#stat scan_width_k{k}={core.scan_width(k)}\n" in out
+    # past sigma = 2^16 the ranks are int32
+    sigma = (1 << 16) + 1
+    arr = new_color_array(np.arange(sigma)[::-1], {c: c % 7 for c in range(sigma)})
+    save_index(snap, OptimalTopK(arr))
+    assert cli.main(["stats", "--snapshot", snap]) == 0
+    assert "#stat rank_bits=32\n" in capsys.readouterr().out

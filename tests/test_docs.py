@@ -23,6 +23,7 @@ from topkolors.errors import (
 )
 from topkolors.model import new_color_array, oracle_topk
 from topkolors.optimal import OptimalTopK
+from topkolors.util import nbits
 
 
 def test_suffix_array_matches_naive_random():
@@ -363,6 +364,20 @@ def test_slot_arrays_are_int32():
     for anchor in anchors:
         assert anchor.slots.dtype == np.int32
         assert anchor.doc_of_loc.dtype == np.int32
+
+
+def test_color_arrays_count_16_bits_per_element():
+    # the main and anchor arrays hold uint16 ranks, not int32 colors
+    rng = np.random.default_rng(39)
+    ix = DocumentIndex(random_collection(rng, 30, 40, b"abc"),
+                       {j: j % 4 for j in range(30)})
+    arrs = [ix.arr] + [a.index.arr for a in ix._anchors.values()
+                       if a.slots is not None]
+    assert len(arrs) > 1
+    for arr in arrs:
+        per_color = nbits(arr.priority_of, arr.rank_of, arr.color_of_rank)
+        assert arr.sigma <= 1 << 16
+        assert docs_module._color_array_bits(arr) - per_color == 16 * arr.n
 
 
 def test_measured_bits_bound():

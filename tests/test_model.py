@@ -15,6 +15,7 @@ from topkolors import (
     oracle_topk,
     prank,
 )
+from topkolors.model import ColorArray
 
 A = [2, 0, 1, 0, 2, 1, 3, 2]
 P = {0: 4, 1: 2, 2: 7, 3: 5}
@@ -114,8 +115,25 @@ def test_ranks_are_a_permutation(arr):
     # higher rank means higher (priority, id) key
     keys = [(int(arr.priority_of[c]), c) for c in arr.color_of_rank]
     assert keys == sorted(keys)
-    r = arr.ranks()
-    assert r.dtype == np.int32 and len(r) == arr.n
+    r = arr.ranks
+    # uint16 up to sigma = 2^16, int32 past it
+    assert r.dtype == np.uint16 and len(r) == arr.n
+    assert (arr.rank_of[arr.colors] == r).all()
+
+
+@pytest.mark.parametrize("sigma, dtype", [(1 << 16, np.uint16),
+                                          ((1 << 16) + 1, np.int32)])
+def test_rank_dtype_follows_sigma(sigma, dtype):
+    rng = np.random.default_rng(sigma)
+    colors = np.concatenate([np.arange(sigma), rng.integers(0, sigma, 999)])
+    rng.shuffle(colors)
+    # priority ties, so ranks follow (priority, color id)
+    arr = ColorArray(colors.astype(np.int32), rng.integers(0, 50, sigma))
+    assert arr.ranks.dtype == dtype and arr.n == len(colors)
+    assert arr.colors.dtype == np.int32
+    assert np.array_equal(arr.colors, colors)
+    assert np.array_equal(arr.ranks, arr.rank_of[colors])
+    assert int(arr.ranks.max()) == sigma - 1
 
 
 def test_values_outside_int64_are_topk_errors():

@@ -11,7 +11,7 @@ from topkolors.chunked import ChunkedTopK
 from topkolors.errors import BadParameter
 from topkolors.model import ColorArray, oracle_distinct_count
 from topkolors.optimal import OptimalTopK
-from topkolors.sparse import SparseTopK, _SparseCore
+from topkolors.sparse import _K_WIDTH, SparseTopK, _SparseCore
 from topkolors.util import nbits
 
 A = [2, 0, 1, 0, 2, 1, 3, 2]
@@ -147,7 +147,7 @@ def test_batched_mapping_matches_map_child():
     rng = np.random.default_rng(23)
     for n, sigma in [(500, 64), (300, 200), (64, 5)]:
         arr = random_surjective(rng, n, sigma)
-        ranks = arr.ranks()
+        ranks = arr.ranks
         for f in (2, 3):
             core = SparseTopK(arr, f=f).core
             height = core.levels[-1]
@@ -326,7 +326,8 @@ def rule_cores(rng, n):
 
 def test_scan_rule_picks_the_path_at_its_width():
     rng = np.random.default_rng(73)
-    n = 40000
+    # the scan reads up to about 66k positions at k = 1024 here
+    n = 1 << 17
     for arr, ix in rule_cores(rng, n):
         for k in (1, 16, 127, 1024):
             width = ix.core.scan_width(k)
@@ -338,6 +339,43 @@ def test_scan_rule_picks_the_path_at_its_width():
                 assert ix.core.last_scanned == (w if w == width else 0)
 
 
+@pytest.mark.parametrize("sigma", [4, 4096, (1 << 16) + 1])
+def test_scan_matches_oracle_at_both_switches(sigma):
+    rng = np.random.default_rng(sigma)
+    n = 1 << 17
+    colors = rng.integers(0, sigma, size=n)
+    colors[rng.choice(n, size=sigma, replace=False)] = np.arange(sigma)
+    # few distinct priorities: ties break by color id
+    arr = ColorArray(colors.astype(np.int32), rng.integers(0, 9, sigma))
+    core = SparseTopK(arr, f=2).core
+    mask_from = core._mask_from
+    # the mask never pays at sigma = 4, and does within the array past it
+    assert (mask_from == n) == (sigma == 4)
+
+    def check(a, b, k):
+        want = oracle_topk(arr, a, b, k)
+        assert arr.list_from_ranks(core.topk_ranks(a, b, k)) == want
+        scanned = core.last_scanned
+        # both kernels, whichever the rule picked
+        for switch in (0, n):
+            core._mask_from = switch
+            assert arr.list_from_ranks(core._scan(a, b, k)) == want
+        core._mask_from = mask_from
+        return scanned
+
+    for k in (1, 16, 1024):
+        width = core.scan_width(k)
+        for d in (-1, 0, 1):
+            a = int(rng.integers(1, n - width - d + 1))
+            b = a + width + d
+            # b - a < scan_width(k) is scanned, a wider range descends
+            assert check(a, b, k) == (b - a + 1 if d < 0 else 0), (k, d)
+        if mask_from < n:
+            for d in (-1, 0):
+                a = int(rng.integers(1, n - mask_from - d + 1))
+                assert check(a, a + mask_from + d, k) == mask_from + d + 1
+
+
 def test_scan_width_is_at_least_the_fan_out_and_grows_with_k():
     rng = np.random.default_rng(79)
     for n in (5000, 40000):
@@ -346,8 +384,10 @@ def test_scan_width_is_at_least_the_fan_out_and_grows_with_k():
             widths = [core.scan_width(k) for k in range(1, 5000)]
             assert min(widths) >= 1 << core.levels[1]
             assert all(x <= y for x, y in zip(widths, widths[1:]))
-            # k = 4999 >= sigma reaches the width no range is scanned past
-            assert widths[-1] == core._widest
+            # topk_ranks computes the width only between these two bounds
+            assert widths[0] == core._w1
+            assert all(x <= core._w1 + _K_WIDTH * (k - 1)
+                       for k, x in enumerate(widths, 1))
 
 
 def test_scan_rule_adds_no_parameter():

@@ -24,7 +24,7 @@ def test_root_bit_sequence():
     got = [root.rank1(i) - root.rank1(i - 1) for i in range(1, 9)]
     assert got == [1, 0, 0, 0, 1, 0, 1, 1]
     # independent derivation from the definition
-    ranks = ix.arr.ranks()
+    ranks = ix.arr.ranks
     assert got == [int(r >= 2) for r in ranks]
 
 
@@ -43,7 +43,7 @@ def test_map_interval_canonical():
 
 def test_map_interval_matches_scan():
     ix = build_canonical()
-    ranks = list(ix.arr.ranks())
+    ranks = list(ix.arr.ranks)
     for a in range(1, 9):
         for b in range(a, 9):
             window = ranks[a - 1 : b]
@@ -80,7 +80,7 @@ def test_level_array_lengths_partition_n():
 def test_count_instrumentation_matches_oracle():
     arr = new_color_array(A, P)
     ix = WaveletTopK(arr)
-    ranks = arr.ranks()
+    ranks = arr.ranks
     # topk counts on levels 1..height only
     for level in range(1, ix.height + 1):
         # a level lists the elements grouped by node, in array order
@@ -129,6 +129,21 @@ def test_measured_bits_counts_every_held_array_once(held_bits):
     # the array is the caller's input, not part of the index
     assert ix.measured_bits() == held_bits(ix, arr)
     assert ix.measured_bits() / n <= 64 * ix.height + 8
+
+
+def test_level_arrays_stay_int32_over_uint16_ranks():
+    rng = np.random.default_rng(71)
+    n, sigma = 4096, 300
+    colors = rng.integers(0, sigma, size=n)
+    colors[:sigma] = np.arange(sigma)
+    arr = new_color_array(colors, dict(enumerate(rng.permutation(sigma).tolist())))
+    assert arr.ranks.dtype == np.uint16
+    ix = WaveletTopK(arr)
+    assert ix._reporters and ix._counters
+    for d, reporter in ix._reporters.items():
+        assert reporter.values.dtype == np.int32
+        assert ix._counters[d].pred.dtype == reporter.pred.dtype
+    assert all(off.dtype == np.int64 for off in ix._offsets)
 
 
 @st.composite
