@@ -12,6 +12,8 @@ kind by class.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .model import ColorArray
 from .sparse import SparseTopK
 
@@ -49,7 +51,7 @@ class ChunkedTopK(SparseTopK):
         self.last_path = "core"
         self._word_table: dict = {}
 
-    def topk_ranks(self, a: int, b: int, k: int) -> list[int]:
+    def topk_ranks(self, a: int, b: int, k: int) -> np.ndarray:
         return self.core.topk_ranks(a, b, k)
 
     topk = SparseTopK.topk

@@ -11,14 +11,27 @@ top-K color queries:
   t_mine(P, t, k)     k highest-weight documents with at least t occurrences
 
 t_mine(P, 1, k) is ranked_list(P, k), so the main index serves it.  For
-t >= 2, t_mine uses per-t anchor arrays: every t-th occurrence slot of each
-document, in slot order.  Any document with t or more occurrences inside a
-slot range must place an anchor there (t consecutive positions of its
-occurrence list cover a full residue class), so streaming the anchor
-index's colors and confirming each candidate's exact count with two
-bisections over its occurrence list reports no false positives and misses
-nothing.  Counts are exact, so the confirmation also filters the anchors
-that a sub-t document happened to land in the range.
+t >= 2, t_mine takes one of two paths, picked by the main core's own
+scan-or-descend rule (_SparseCore.scans) on P's slot range [a, b] at this k:
+
+  scan     where the main core would scan [a, b] for ranked_list, t_mine
+           counts the range's own ranks, keeps those that occur at least t
+           times, and returns the k highest;
+  anchors  past that width it uses per-t anchor arrays: every t-th
+           occurrence slot of each document, in slot order.
+
+Any document with t or more occurrences inside a slot range must place an
+anchor there (t consecutive positions of its occurrence list cover a full
+residue class), so streaming the anchor index's colors and confirming each
+candidate's exact count with two bisections over its occurrence list
+reports no false positives and misses nothing.  Counts are exact, so the
+confirmation also filters the anchors that a sub-t document happened to
+land in the range.  The scan reads every occurrence in the range, so it is
+exact too; the rule only decides which path is cheaper.  A sweep of both
+(tools/scan_sweep.py, BENCH_tmine_scan.json) found the scan about ten
+times faster in the median where the rule takes it, and at most about
+12 us slower, on ranges where no document reaches t, which the anchors
+settle with one bisection.
 
 RangeHeapMerger combines the streams of several pairwise disjoint ranges
 into one descending (priority, color) order without de-duplicating across
@@ -140,6 +153,18 @@ def _check_pattern(pattern) -> bytes:
     if SEPARATOR in p:
         raise SeparatorInContent("pattern contains the separator byte")
     return p
+
+
+def _positive(name: str, v) -> int:
+    """v as an int (numpy integers too), or BadParameter unless it is an
+    integer >= 1."""
+    try:
+        v = operator.index(v)
+    except TypeError:
+        raise BadParameter(f"{name} must be an integer, got {v!r}") from None
+    if v < 1:
+        raise BadParameter(f"{name} must be >= 1, got {v}")
+    return v
 
 
 def _slot_bounds(slots: np.ndarray, a: int, b: int):
@@ -276,8 +301,7 @@ class DocumentIndex:
 
     def ranked_list(self, pattern, k: int) -> ColorList:
         """The k highest-weight documents containing the pattern."""
-        if k < 1:
-            raise BadParameter(f"k must be >= 1, got {k}")
+        k = _positive("k", k)
         rng = self.pattern_range(pattern)
         if rng is None:
             return ColorList([])
@@ -285,10 +309,8 @@ class DocumentIndex:
 
     def t_mine(self, pattern, t: int, k: int) -> ColorList:
         """The k highest-weight documents with >= t pattern occurrences."""
-        if k < 1:
-            raise BadParameter(f"k must be >= 1, got {k}")
-        if t < 1:
-            raise BadParameter(f"t must be >= 1, got {t}")
+        k = _positive("k", k)
+        t = _positive("t", t)
         p = _check_pattern(pattern)
         if t > self.collection.max_doc_len:
             return ColorList([])
@@ -301,16 +323,24 @@ class DocumentIndex:
         rng = self.pattern_range(p)
         if rng is None:
             return ColorList([])
+        core = self.index.core
+        if core.scans(*rng, k):
+            return self.arr.list_from_ranks(core._scan(*rng, k, t))
+        return self._t_mine_anchors(*rng, t, k)
+
+    def _t_mine_anchors(self, a: int, b: int, t: int, k: int) -> ColorList:
+        """t_mine over suffix slots [a, b] from the t-anchors: each anchor
+        color streamed, confirmed by its document's exact count."""
         anchor = self._anchors[t]
         if anchor.slots is None:
             return ColorList([])
-        aa, bb = anchor.slot_range(*rng)
+        aa, bb = anchor.slot_range(a, b)
         if aa > bb:
             return ColorList([])
         out = []
         for c, w in open_stream(anchor.index, aa, bb):
             doc = int(anchor.doc_of_loc[c])
-            if self._count_in_slots(doc, *rng) >= t:
+            if self._count_in_slots(doc, a, b) >= t:
                 out.append((doc, w))
                 if len(out) == k:
                     break
@@ -397,9 +427,7 @@ class RangeHeapMerger:
 
     def __init__(self, index, ranges):
         self.index = index
-        self.ranges = [(int(a), int(b)) for a, b in ranges]
-        for a, b in self.ranges:
-            check_range(index.n, a, b)
+        self.ranges = [check_range(index.n, a, b)[:2] for a, b in ranges]
         ordered = sorted(self.ranges)
         for (_, b1), (a2, _) in zip(ordered, ordered[1:]):
             if b1 >= a2:
@@ -408,8 +436,7 @@ class RangeHeapMerger:
                 )
 
     def topk(self, k: int) -> list[tuple[int, int]]:
-        if k < 1:
-            raise BadParameter(f"k must be >= 1, got {k}")
+        k = _positive("k", k)
         heads = []
         streams = {}
         for idx, (a, b) in enumerate(self.ranges):

@@ -14,6 +14,7 @@ value alongside the color.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -31,12 +32,20 @@ from .errors import (
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 
-def check_range(n: int, a: int, b: int, k: int = 1) -> None:
-    """Raise InvalidRange unless 1 <= a <= b <= n and k >= 1."""
+def check_range(n: int, a: int, b: int, k: int = 1) -> tuple[int, int, int]:
+    """(a, b, k) as Python ints, or InvalidRange unless they are integers
+    (numpy's too), 1 <= a <= b <= n and k >= 1."""
+    try:
+        a, b, k = operator.index(a), operator.index(b), operator.index(k)
+    except TypeError:
+        raise InvalidRange(
+            f"range bounds and K must be integers, got ({a!r}, {b!r}, {k!r})"
+        ) from None
     if not (1 <= a <= b <= n):
         raise InvalidRange(f"range ({a}, {b}) not within [1, {n}]")
     if k < 1:
         raise InvalidRange(f"K must be >= 1, got {k}")
+    return a, b, k
 
 
 class ColorList:
@@ -134,9 +143,10 @@ class ColorArray:
         """Per-position color ids (int32), derived from the ranks."""
         return self.color_of_rank[self.ranks]
 
-    def list_from_ranks(self, ranks: Iterable[int]) -> ColorList:
-        """Build a ColorList from 0-based effective ranks, highest first."""
-        colors = self.color_of_rank[np.asarray(ranks, dtype=np.intp)]
+    def list_from_ranks(self, ranks: np.ndarray | Sequence[int]) -> ColorList:
+        """Build a ColorList from 0-based effective ranks, highest first: an
+        integer array, indexed with as it is, or a list of ints."""
+        colors = self.color_of_rank[ranks]
         return ColorList._of_pairs(
             zip(colors.tolist(), self.priority_of[colors].tolist())
         )
@@ -187,7 +197,7 @@ def new_color_array(
 
 def oracle_topk(arr: ColorArray, a: int, b: int, k: int) -> ColorList:
     """Top-K distinct colors in arr[a..b] by direct scan, highest first."""
-    check_range(arr.n, a, b, k)
+    a, b, k = check_range(arr.n, a, b, k)
     present = np.unique(arr.color_of_rank[arr.ranks[a - 1 : b]])
     order = sorted(
         (int(c) for c in present),
@@ -199,7 +209,7 @@ def oracle_topk(arr: ColorArray, a: int, b: int, k: int) -> ColorList:
 
 def oracle_distinct_count(arr: ColorArray, a: int, b: int) -> int:
     """Number of distinct colors in arr[a..b] by direct scan."""
-    check_range(arr.n, a, b)
+    a, b, _ = check_range(arr.n, a, b)
     return int(len(np.unique(arr.ranks[a - 1 : b])))
 
 

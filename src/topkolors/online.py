@@ -22,19 +22,19 @@ class ColorStream:
     """
 
     def __init__(self, index, a: int, b: int):
-        check_range(index.n, a, b)
+        self._a, self._b, _ = check_range(index.n, a, b)
         self._index = index
-        self._a = a
-        self._b = b
         self.elements_requested = 0
         self._no_more = False
-        self._list = self._request(1)
+        # the current list's entries and their count, read on every pull
+        self._entries = self._request(1)
         self._served = 0
 
     def _request(self, k: int):
         self.elements_requested += k
-        got = self._index.topk(self._a, self._b, k)
-        if len(got) < k:
+        got = self._index.topk(self._a, self._b, k).entries
+        self._len = len(got)
+        if self._len < k:
             self._no_more = True
         return got
 
@@ -43,12 +43,12 @@ class ColorStream:
 
     def __next__(self):
         i = self._served
-        if i == len(self._list) and not self._no_more:
-            self._list = self._request(2 * i + 1)
-        if i == len(self._list):
+        if i == self._len and not self._no_more:
+            self._entries = self._request(2 * i + 1)
+        if i == self._len:
             raise StopIteration
         self._served = i + 1
-        return self._list[i]
+        return self._entries[i]
 
 
 def open_stream(index, a: int, b: int) -> ColorStream:

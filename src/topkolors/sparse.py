@@ -27,7 +27,10 @@ O(w + sigma).  One cost rule on (w, sigma) picks the kernel: the sort
 costs w * log2(min(w, sigma)) comparisons, the mask _MASK_POSITION per
 position and _MASK_COLOR per color.  The mask takes over from about 1.7k
 positions at sigma = 4096 and 16k at sigma = 2^16 + 1, and never at
-sigma <= 64.
+sigma <= 64.  DocumentIndex.t_mine scans with a threshold t >= 2, under
+the same width rule (scans) and kernel switch: the sort kernel keeps only
+runs of equal ranks at least t long, and the mask becomes a sigma-long
+count, bincount >= t.
 
 scan_width(k) is the descent's estimated cost in scanned positions: a
 fixed cost per level step, plus a cost per unit of its work.  The units
@@ -259,44 +262,59 @@ class _SparseCore:
         return max(1 << lv[1],
                    int(_STEP_WIDTH * (len(lv) - 1) + _UNIT_WIDTH * units))
 
-    def topk_ranks(self, a: int, b: int, k: int) -> list[int]:
+    def scans(self, a: int, b: int, k: int) -> bool:
+        """Whether topk_ranks answers [a, b] at k from the range's own
+        ranks, b - a < scan_width(k), rather than by the descent."""
+        w = b - a
+        return w < self._w1 or (w < self._w1 + _K_WIDTH * (k - 1)
+                                and w < self.scan_width(k))
+
+    def topk_ranks(self, a: int, b: int, k: int) -> np.ndarray:
         """Ranks of the top-k colors of [a, b] (1-based), highest first."""
         if len(self.levels) == 1:
             self.last_visited = self.last_scanned = 0
-            return [0]
-        w = b - a
-        if w < self._w1 or (w < self._w1 + _K_WIDTH * (k - 1)
-                            and w < self.scan_width(k)):
+            return np.zeros(1, dtype=np.intp)
+        if self.scans(a, b, k):
             return self._scan(a, b, k)
         return self._descend(a, b, k)
 
-    def _scan(self, a: int, b: int, k: int) -> list[int]:
-        """The top k of [a, b] from the range's own ranks: sorted while
-        b - a is below _mask_from, else marked in a sigma-long presence
-        mask read from the top."""
+    def _scan(self, a: int, b: int, k: int, t: int = 1) -> np.ndarray:
+        """The top k of the ranks that occur at least t times in [a, b],
+        from the range's own ranks: sorted while b - a is below _mask_from,
+        else marked (t = 1) or counted (t >= 2) in a sigma-long array read
+        from the top."""
         self.last_visited = 0
         self.last_scanned = b - a + 1
         arr = self._arr
         r = arr.ranks[a - 1 : b]
         if b - a >= self._mask_from:
-            seen = np.zeros(arr.sigma, dtype=bool)
-            seen[r] = True
-            return np.flatnonzero(seen)[: -k - 1 : -1].tolist()
+            if t == 1:
+                seen = np.zeros(arr.sigma, dtype=bool)
+                seen[r] = True
+            else:
+                seen = np.bincount(r, minlength=arr.sigma) >= t
+            return np.flatnonzero(seen)[: -k - 1 : -1]
         r = np.sort(r)
         # keep the last of each run of equal ranks
         last = np.empty(len(r), dtype=bool)
         last[-1] = True
         np.not_equal(r[1:], r[:-1], out=last[:-1])
-        return r[last][: -k - 1 : -1].tolist()
+        if t == 1:
+            return r[last][: -k - 1 : -1]
+        # the ranks are sorted, so a run at least t long ends at i iff
+        # last[i] and r[i - t + 1] == r[i]
+        tail = r[t - 1 :]
+        keep = last[t - 1 :] & (tail == r[: len(tail)])
+        return tail[keep][: -k - 1 : -1]
 
-    def _descend(self, a: int, b: int, k: int) -> list[int]:
+    def _descend(self, a: int, b: int, k: int) -> np.ndarray:
         """The top k of [a, b] by walking a frontier down the levels."""
         self.last_visited = self.last_scanned = 0
         frontier = (np.zeros(1, dtype=np.int64), np.array([a - 1]),
                     np.array([b - a + 1]))
         for li in range(len(self.levels) - 1):
             frontier = self._step(li, *frontier, k)
-        return frontier.tolist()
+        return frontier
 
     def measured_bits(self) -> int:
         return nbits(*self._E, *self._off)
@@ -320,7 +338,7 @@ class SparseTopK:
         return self.core.levels
 
     def topk(self, a: int, b: int, k: int) -> ColorList:
-        check_range(self.n, a, b, k)
+        a, b, k = check_range(self.n, a, b, k)
         return self.arr.list_from_ranks(self.core.topk_ranks(a, b, k))
 
     def measured_bits(self) -> int:

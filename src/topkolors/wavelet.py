@@ -106,7 +106,7 @@ class WaveletTopK:
         return rep.values[rep.positions(base + a - 1, base + b)].tolist()
 
     def topk(self, a: int, b: int, k: int) -> ColorList:
-        check_range(self.n, a, b, k)
+        a, b, k = check_range(self.n, a, b, k)
         out: list[int] = []
         d, node, av, bv, rem = 0, 0, a, b, k
         visited = 0

@@ -179,6 +179,82 @@ def test_t_mine_matches_naive_exhaustive():
                 )
 
 
+def test_t_mine_matches_naive_for_every_built_t():
+    rng = np.random.default_rng(43)
+    for trial in range(4):
+        coll = random_collection(rng, 40, 60, b"abc")
+        weights = {j: int(w) for j, w in enumerate(rng.integers(0, 20, 40))}
+        ix = DocumentIndex(coll, weights)
+        for p in all_patterns(coll, 2):
+            for t in ix.t_values:
+                for k in (1, 16, 1024):
+                    assert ix.t_mine(p, t, k) == naive_t_mine(
+                        coll, weights, p, t, k), (trial, p, t, k)
+
+
+def wide_index(seed):
+    """About 62k slots over "ab": the one-letter patterns span about 31k
+    slots, past what the main core scans at k <= 16 but not at k = 1024."""
+    rng = np.random.default_rng(seed)
+    coll = random_collection(rng, 400, 300, b"ab")
+    weights = {j: int(w) for j, w in enumerate(rng.integers(0, 50, 400))}
+    return coll, weights, DocumentIndex(coll, weights)
+
+
+def test_t_mine_scan_and_anchors_agree_on_both_sides_of_the_rule(monkeypatch):
+    coll, weights, ix = wide_index(41)
+    core = ix.index.core
+    took = []
+    anchors = DocumentIndex._t_mine_anchors
+
+    def spy(self, *args):
+        took.append("anchors")
+        return anchors(self, *args)
+
+    monkeypatch.setattr(DocumentIndex, "_t_mine_anchors", spy)
+    sides = set()
+    for p in (b"a", b"b", b"ab", b"bab", b"abba", b"aabab"):
+        a, b = ix.pattern_range(p)
+        for t in ix.t_values[1:]:
+            for k in (1, 16, 1024):
+                want = naive_t_mine(coll, weights, p, t, k)
+                scans = core.scans(a, b, k)
+                sides.add(scans)
+                took.clear()
+                assert ix.t_mine(p, t, k) == want, (p, t, k)
+                assert took == ([] if scans else ["anchors"])
+                # both paths on the same range, whichever the rule picked
+                assert ix.arr.list_from_ranks(core._scan(a, b, k, t)) == want
+                assert anchors(ix, a, b, t, k) == want
+    assert sides == {True, False}
+
+
+def test_unbuilt_t_is_unsupported_on_a_scanned_range():
+    coll, weights, _ = wide_index(41)
+    ix = DocumentIndex(coll, weights, t_values=[1, 2, 4])
+    rng = ix.pattern_range(b"abba")
+    assert ix.index.core.scans(*rng, 16)
+    for t in (3, 8):
+        with pytest.raises(UnsupportedT):
+            ix.t_mine(b"abba", t, 16)
+    assert ix.t_mine(b"abba", 4, 16) == naive_t_mine(coll, weights, b"abba", 4, 16)
+
+
+def test_non_integer_k_and_t_are_bad_parameter():
+    ix = DocumentIndex(DocumentCollection(["ababab", "abba"]), {0: 2, 1: 6})
+    for k in ("1", 1.0, 2.5, None):
+        with pytest.raises(BadParameter):
+            ix.ranked_list("ab", k)
+        with pytest.raises(BadParameter):
+            ix.t_mine("ab", 2, k)
+    for t in ("2", 2.0, None):
+        with pytest.raises(BadParameter):
+            ix.t_mine("ab", t, 1)
+    # numpy integers are integers
+    assert ix.ranked_list("ab", np.int64(1)) == [(1, 6)]
+    assert ix.t_mine("ab", np.int32(2), np.uint8(2)) == [(0, 2)]
+
+
 def test_t_mine_equal_weights_tie_break():
     coll = DocumentCollection(["aa", "aa", "aa"])
     ix = DocumentIndex(coll, {0: 5, 1: 5, 2: 5})

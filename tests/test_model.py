@@ -16,6 +16,7 @@ from topkolors import (
     prank,
 )
 from topkolors.model import ColorArray
+from topkolors.snapshot import KINDS
 
 A = [2, 0, 1, 0, 2, 1, 3, 2]
 P = {0: 4, 1: 2, 2: 7, 3: 5}
@@ -75,6 +76,19 @@ def test_query_validation():
     for a, b, k in [(0, 3, 1), (3, 2, 1), (1, 9, 1), (2, 6, 0)]:
         with pytest.raises(InvalidRange):
             oracle_topk(arr, a, b, k)
+
+
+@pytest.mark.parametrize("kind", sorted(set(KINDS) - {"docs"}))
+def test_non_integer_bounds_and_k_are_invalid_range(kind):
+    arr = new_color_array(A, P)
+    ix = KINDS[kind](arr)
+    for a, b, k in [(1, 5, 2.5), (1.0, 5, 2), (1, "5", 2), (1, 5, None),
+                    (1, 5.0, 2)]:
+        with pytest.raises(InvalidRange):
+            ix.topk(a, b, k)
+    # numpy integers are integers
+    want = oracle_topk(arr, 2, 6, 2)
+    assert ix.topk(np.int64(2), np.int32(6), np.uint16(2)) == want
 
 
 @st.composite

@@ -1,5 +1,6 @@
 import inspect
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -376,6 +377,42 @@ def test_scan_matches_oracle_at_both_switches(sigma):
                 assert check(a, a + mask_from + d, k) == mask_from + d + 1
 
 
+def oracle_thresholded(arr, a, b, k, t):
+    """The k highest-priority colors occurring at least t times in [a, b],
+    by direct count."""
+    counts = Counter(arr.colors[a - 1 : b].tolist())
+    keep = sorted((c for c, m in counts.items() if m >= t),
+                  key=lambda c: (int(arr.priority_of[c]), c), reverse=True)
+    return [(c, int(arr.priority_of[c])) for c in keep[:k]]
+
+
+@pytest.mark.parametrize("sigma", [4, 300, 4096])
+def test_thresholded_scan_matches_counts_with_both_kernels(sigma):
+    rng = np.random.default_rng(sigma + 1)
+    n = 1 << 15
+    colors = rng.integers(0, sigma, size=n)
+    colors[rng.choice(n, size=sigma, replace=False)] = np.arange(sigma)
+    # few distinct priorities: ties break by color id
+    arr = ColorArray(colors.astype(np.int32), rng.integers(0, 9, sigma))
+    core = SparseTopK(arr, f=2).core
+    mask_from = core._mask_from
+    assert (mask_from < n) == (sigma > 64)
+    # b - a on each side of the kernel switch, where there is one
+    widths = [5, 700] + ([mask_from - 1, mask_from] if mask_from < n else [])
+    for w in widths:
+        a = int(rng.integers(1, n - w + 1))
+        b = a + w
+        for t in (1, 2, 3, 8):
+            for k in (1, 16, 1024):
+                want = oracle_thresholded(arr, a, b, k, t)
+                assert arr.list_from_ranks(core._scan(a, b, k, t)) == want
+                for switch in (0, n):
+                    core._mask_from = switch
+                    got = core._scan(a, b, k, t)
+                    assert arr.list_from_ranks(got) == want, (w, t, k, switch)
+                core._mask_from = mask_from
+
+
 def test_scan_width_is_at_least_the_fan_out_and_grows_with_k():
     rng = np.random.default_rng(79)
     for n in (5000, 40000):
@@ -398,3 +435,5 @@ def test_scan_rule_adds_no_parameter():
     assert names(SparseTopK.__init__) == ["self", "arr", "f"]
     assert names(OptimalTopK.__init__) == ["self", "arr"]
     assert names(_SparseCore.scan_width) == ["self", "k"]
+    # one predicate serves topk_ranks and DocumentIndex.t_mine
+    assert names(_SparseCore.scans) == ["self", "a", "b", "k"]

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Sweep of the sparse core's three query paths, and the fit of its rules.
+"""Sweeps of the query paths of the sparse core and of t_mine, and rule fits.
 
 For every core, range width and K, this times the sort scan, the mask scan
 and the descent of _SparseCore on the same random starts, one call each,
@@ -29,7 +29,16 @@ earlier scan kernel, a sort of rank_of[colors[a-1:b]], for reference.
 
     python3 tools/scan_sweep.py --seed 17 --out sweep.json
 
-It takes about a minute on two cores and about 300 MB.
+A third sweep times DocumentIndex.t_mine's two paths on the docs
+workload's index at --seed: the thresholded scan of the main core
+(_SparseCore._scan with t) and the anchor path (_t_mine_anchors), for
+t in {2, 8, 64} and K in {1, 16, 1024}, on about 130 patterns spread over
+suffix widths from 64 to 52k.  Both answers are checked against
+perfbench/check.py, and the main core's scan-or-descend rule (scans),
+which picks the path, is priced against the cheaper one, over all cells
+and over the cells on each side of the rule.
+
+It takes about half a minute on two cores and about 300 MB.
 """
 
 from __future__ import annotations
@@ -52,6 +61,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+import check  # noqa: E402
 import topkolors as tk  # noqa: E402
 import workloads  # noqa: E402
 from topkolors import sparse  # noqa: E402
@@ -60,6 +70,11 @@ WIDTHS = [64, 256, 1024, 2048, 3072, 4096, 6144, 8192, 12288, 16384,
           24576, 32768, 49152, 65536, 98304, 131072]
 KS = [1, 3, 16, 127, 1024]
 KERNEL_SIGMAS = [4, 64, 256, 1024, 2001, 4096, 16384, 65537]
+TMINE_TS = (2, 8, 64)
+TMINE_KS = (1, 16, 1024)
+# t_mine patterns per power-of-two suffix width, and calls per path and cell
+TMINE_PER_WIDTH = 16
+TMINE_REPEATS = 5
 PATHS = ("sort_us", "mask_us", "descent_us")
 NEVER = 1 << 62
 
@@ -111,7 +126,7 @@ def time_cell(core, colors, rng, w, k, starts, paths=PATHS):
                 t0 = perf()
                 got.append(run(a, b, k))
                 times[path].append(perf() - t0)
-            if any(g != got[0] for g in got):
+            if not all(np.array_equal(g, got[0]) for g in got):
                 raise AssertionError(f"paths disagree at {(a, b, k)}")
     finally:
         core._mask_from = mask_from
@@ -251,6 +266,86 @@ def sweep(seed: int, starts: int):
     return kernels, swept
 
 
+def tmine_patterns(ix, words):
+    """(pattern, (a, b)) pairs of the docs corpus by suffix width: every
+    one- and two-byte string, each word with its spaces and each word's
+    first three bytes, up to TMINE_PER_WIDTH of each power-of-two width
+    from 64 on, spread evenly over the bucket's widths."""
+    alpha = sorted(set(ix.collection.text) - {0})
+    cands = ({bytes([c]) for c in alpha}
+             | {bytes([c, d]) for c in alpha for d in alpha}
+             | {b" " + w + b" " for w in words} | {w[:3] for w in words})
+    buckets = {}
+    for p in sorted(cands):
+        rng = ix.pattern_range(p)
+        w = 0 if rng is None else rng[1] - rng[0] + 1
+        if w >= 64:
+            buckets.setdefault(w.bit_length(), []).append((w, p, rng))
+    out = []
+    for _, cell in sorted(buckets.items()):
+        cell.sort()
+        picks = np.linspace(0, len(cell) - 1,
+                            min(TMINE_PER_WIDTH, len(cell)))
+        out += [cell[int(i)][1:] for i in np.unique(picks.round())]
+    return out
+
+
+def tmine_sweep(seed: int) -> dict:
+    """Times both t_mine paths of the docs workload's index on the same
+    suffix ranges, checks both against the benchmark's checker, and prices
+    the main core's scan-or-descend rule (scans), which picks between
+    them, against the cheaper path of each cell."""
+    texts, weights, words, _ = workloads.corpus(np.random.default_rng(seed))
+    ix = tk.DocumentIndex(tk.DocumentCollection(texts),
+                          {j: int(w) for j, w in enumerate(weights)})
+    core, scan_docs = ix.index.core, check.Corpus(texts)
+    order = check.rank_order(weights)
+    perf = time.perf_counter
+    rows = []
+    for p, (a, b) in tmine_patterns(ix, words):
+        counts = scan_docs.counts(p)
+        for t in TMINE_TS:
+            for k in TMINE_KS:
+                want = check.scan_docs(counts, weights, order, t, k)
+                times = {"scan_us": [], "anchors_us": []}
+                for _ in range(TMINE_REPEATS):
+                    t0 = perf()
+                    got = ix.arr.list_from_ranks(core._scan(a, b, k, t))
+                    t1 = perf()
+                    alt = ix._t_mine_anchors(a, b, t, k)
+                    times["anchors_us"].append(perf() - t1)
+                    times["scan_us"].append(t1 - t0)
+                    for answer in (got, alt):
+                        why = check.verify(answer, want)
+                        if why is not None:
+                            raise AssertionError(f"t_mine {p!r} {t} {k}: {why}")
+                rows.append({"width": b - a + 1, "t": t, "k": k,
+                             "rule": "scan" if core.scans(a, b, k) else "anchors",
+                             **{c: round(statistics.median(v) * 1e6, 1)
+                                for c, v in times.items()}})
+
+    def loss(cells):
+        best_us = sum(min(r["scan_us"], r["anchors_us"]) for r in cells)
+        lost = [r[r["rule"] + "_us"] - min(r["scan_us"], r["anchors_us"])
+                for r in cells]
+        return {"cells": len(cells), "best_us": round(best_us, 1),
+                "lost_us": round(sum(lost), 1),
+                "lost_share": round(sum(lost) / best_us, 3),
+                "cells_wrong": sum(x > 0 for x in lost)}
+
+    return {
+        "n": ix.n, "sigma": ix.arr.sigma,
+        "patterns": len(rows) // (len(TMINE_TS) * len(TMINE_KS)),
+        "scan_width": {k: core.scan_width(k) for k in TMINE_KS},
+        # over every cell, then over the cells the rule scans or streams
+        "loss": {"all": loss(rows), **{
+            side: loss([r for r in rows if r["rule"] == side])
+            for side in ("scan", "anchors")}},
+        "columns": list(rows[0]),
+        "rows": [list(r.values()) for r in rows],
+    }
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, default=17)
@@ -273,6 +368,7 @@ def main(argv=None) -> int:
                             "rows": [list(r.values()) for r in rows]}
                     for sigma, rows in kernels.items()},
         "cores": {},
+        "tmine": tmine_sweep(args.seed),
     }
     for name, (core, rows) in swept.items():
         sigma, n = core._arr.sigma, core._arr.n
@@ -295,6 +391,7 @@ def main(argv=None) -> int:
     print(json.dumps(result["fit"]))
     for name, c in result["cores"].items():
         print(name, json.dumps(c["loss"]))
+    print("t_mine", json.dumps(result["tmine"]["loss"]))
     return 0
 
 
