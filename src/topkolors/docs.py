@@ -11,27 +11,23 @@ top-K color queries:
   t_mine(P, t, k)     k highest-weight documents with at least t occurrences
 
 t_mine(P, 1, k) is ranked_list(P, k), so the main index serves it.  For
-t >= 2, t_mine takes one of two paths, picked by the main core's own
-scan-or-descend rule (_SparseCore.scans) on P's slot range [a, b] at this k:
+t >= 2, t_mine asks the main core for the k highest ranks that occur at
+least t times in P's slot range [a, b] (_SparseCore.topk_ranks with t): it
+counts the range's own ranks, a slot per occurrence, so its answer is
+exact at any width.
 
-  scan     where the main core would scan [a, b] for ranked_list, t_mine
-           counts the range's own ranks, keeps those that occur at least t
-           times, and returns the k highest;
-  anchors  past that width it uses per-t anchor arrays: every t-th
-           occurrence slot of each document, in slot order.
-
+The index also builds the paper's per-t anchor arrays: every t-th
+occurrence slot of each document, in slot order, each with a top-K index.
 Any document with t or more occurrences inside a slot range must place an
-anchor there (t consecutive positions of its occurrence list cover a full
-residue class), so streaming the anchor index's colors and confirming each
-candidate's exact count with two bisections over its occurrence list
-reports no false positives and misses nothing.  Counts are exact, so the
-confirmation also filters the anchors that a sub-t document happened to
-land in the range.  The scan reads every occurrence in the range, so it is
-exact too; the rule only decides which path is cheaper.  A sweep of both
-(tools/scan_sweep.py, BENCH_tmine_scan.json) found the scan about ten
-times faster in the median where the rule takes it, and at most about
-12 us slower, on ranges where no document reaches t, which the anchors
-settle with one bisection.
+anchor there, so streaming the anchors' colors and confirming each
+candidate's count answers t_mine without reading the whole range.  No
+query reads them now.  A sweep of both paths on the docs benchmark corpus,
+at suffix widths up to 52k (tools/scan_sweep.py, BENCH_tmine_scan.json),
+found the scan ten times faster in the median and its summed time within
+2 % of the cheaper path's.  The anchors won by a few microseconds where no
+document reaches t, and by up to 4x at k = 1 on the widest ranges.  They
+stay built, in snapshots and in measured_bits, and t_values still names
+the thresholds t_mine accepts.
 
 RangeHeapMerger combines the streams of several pairwise disjoint ranges
 into one descending (priority, color) order without de-duplicating across
@@ -176,7 +172,8 @@ def _slot_bounds(slots: np.ndarray, a: int, b: int):
 
 
 class _AnchorIndex:
-    """Every t-th occurrence slot per document, indexed for top-K.
+    """Every t-th occurrence slot per document, indexed for top-K; built
+    and counted, though no query reads it (see the module docstring).
 
     occ holds each slot's 0-based occurrence index inside its document, in
     the slot arrays' dtype, and colors each slot's document, num_docs for
@@ -192,11 +189,6 @@ class _AnchorIndex:
         uniq, loc = np.unique(colors[slots], return_inverse=True)
         self.doc_of_loc = uniq
         self.index = OptimalTopK(ColorArray(loc.astype(np.int32), prio[uniq]))
-
-    def slot_range(self, a: int, b: int):
-        """Anchor-array range (1-based) covering suffix slots [a, b]."""
-        lo, hi = _slot_bounds(self.slots, a, b)
-        return lo + 1, hi
 
 
 class DocumentIndex:
@@ -323,28 +315,7 @@ class DocumentIndex:
         rng = self.pattern_range(p)
         if rng is None:
             return ColorList([])
-        core = self.index.core
-        if core.scans(*rng, k):
-            return self.arr.list_from_ranks(core._scan(*rng, k, t))
-        return self._t_mine_anchors(*rng, t, k)
-
-    def _t_mine_anchors(self, a: int, b: int, t: int, k: int) -> ColorList:
-        """t_mine over suffix slots [a, b] from the t-anchors: each anchor
-        color streamed, confirmed by its document's exact count."""
-        anchor = self._anchors[t]
-        if anchor.slots is None:
-            return ColorList([])
-        aa, bb = anchor.slot_range(a, b)
-        if aa > bb:
-            return ColorList([])
-        out = []
-        for c, w in open_stream(anchor.index, aa, bb):
-            doc = int(anchor.doc_of_loc[c])
-            if self._count_in_slots(doc, a, b) >= t:
-                out.append((doc, w))
-                if len(out) == k:
-                    break
-        return ColorList(out)
+        return self.arr.list_from_ranks(self.index.core.topk_ranks(*rng, k, t))
 
     def measured_bits(self) -> int:
         """Bits of every array the index holds, each counted once; the

@@ -1,7 +1,8 @@
 """Incremental color reporting without a K fixed up front.
 
-A stream wraps any index exposing topk(a, b, k) and yields the range's
-colors one at a time in the same order a single big query would produce.
+A stream wraps any index whose topk(a, b, k) returns a ColorList, as every
+index of this package does, and yields the range's colors one at a time in
+the same order a single big query would produce.
 It holds one list from the index, starting at length 1, and only when a
 pull runs past its end requests the next, of length 2 * len + 1, whose
 prefix is the list already served.  The total of all k values requested

@@ -27,8 +27,10 @@ O(w + sigma).  One cost rule on (w, sigma) picks the kernel: the sort
 costs w * log2(min(w, sigma)) comparisons, the mask _MASK_POSITION per
 position and _MASK_COLOR per color.  The mask takes over from about 1.7k
 positions at sigma = 4096 and 16k at sigma = 2^16 + 1, and never at
-sigma <= 64.  DocumentIndex.t_mine scans with a threshold t >= 2, under
-the same width rule (scans) and kernel switch: the sort kernel keeps only
+sigma <= 64.  topk_ranks with a threshold t >= 2, which
+DocumentIndex.t_mine asks for, keeps only the ranks occurring at least t
+times in the range and always scans, whatever the width, since the
+descent cannot count: under the same kernel switch, the sort kernel keeps
 runs of equal ranks at least t long, and the mask becomes a sigma-long
 count, bincount >= t.
 
@@ -262,19 +264,18 @@ class _SparseCore:
         return max(1 << lv[1],
                    int(_STEP_WIDTH * (len(lv) - 1) + _UNIT_WIDTH * units))
 
-    def scans(self, a: int, b: int, k: int) -> bool:
-        """Whether topk_ranks answers [a, b] at k from the range's own
-        ranks, b - a < scan_width(k), rather than by the descent."""
-        w = b - a
-        return w < self._w1 or (w < self._w1 + _K_WIDTH * (k - 1)
-                                and w < self.scan_width(k))
-
-    def topk_ranks(self, a: int, b: int, k: int) -> np.ndarray:
-        """Ranks of the top-k colors of [a, b] (1-based), highest first."""
+    def topk_ranks(self, a: int, b: int, k: int, t: int = 1) -> np.ndarray:
+        """Ranks of the top-k colors of [a, b] (1-based) occurring there at
+        least t times, highest first.  At t >= 2 the range is scanned at
+        any width."""
+        if t > 1:
+            return self._scan(a, b, k, t)
         if len(self.levels) == 1:
             self.last_visited = self.last_scanned = 0
             return np.zeros(1, dtype=np.intp)
-        if self.scans(a, b, k):
+        w = b - a
+        if w < self._w1 or (w < self._w1 + _K_WIDTH * (k - 1)
+                            and w < self.scan_width(k)):
             return self._scan(a, b, k)
         return self._descend(a, b, k)
 

@@ -23,6 +23,7 @@ from topkolors.errors import (
 )
 from topkolors.model import new_color_array, oracle_topk
 from topkolors.optimal import OptimalTopK
+from topkolors.sparse import _SparseCore
 from topkolors.util import nbits
 
 
@@ -162,13 +163,15 @@ def test_occurrence_count_matches_scan():
 
 def test_t_mine_matches_naive_exhaustive():
     rng = np.random.default_rng(34)
-    for trial in range(6):
-        coll = random_collection(rng, 8, 14)
-        weights = {j: int(w) for j, w in enumerate(rng.permutation(8) * 3)}
+    # six small corpora over "ab", then four of 40 documents over "abc"
+    shapes = [(8, 14, b"ab")] * 6 + [(40, 60, b"abc")] * 4
+    for trial, (s, max_len, alphabet) in enumerate(shapes):
+        coll = random_collection(rng, s, max_len, alphabet)
+        weights = {j: int(w) for j, w in enumerate(rng.permutation(s) * 3)}
         ix = DocumentIndex(coll, weights)
         for p in all_patterns(coll, 2):
             for t in ix.t_values:
-                for k in (1, 3, 8):
+                for k in (1, 3, 8, 16, 1024):
                     got = ix.t_mine(p, t, k)
                     assert got == naive_t_mine(coll, weights, p, t, k), (
                         trial, p, t, k,
@@ -177,19 +180,6 @@ def test_t_mine_matches_naive_exhaustive():
                 assert ix.ranked_list(p, k) == naive_ranked_list(
                     coll, weights, p, k
                 )
-
-
-def test_t_mine_matches_naive_for_every_built_t():
-    rng = np.random.default_rng(43)
-    for trial in range(4):
-        coll = random_collection(rng, 40, 60, b"abc")
-        weights = {j: int(w) for j, w in enumerate(rng.integers(0, 20, 40))}
-        ix = DocumentIndex(coll, weights)
-        for p in all_patterns(coll, 2):
-            for t in ix.t_values:
-                for k in (1, 16, 1024):
-                    assert ix.t_mine(p, t, k) == naive_t_mine(
-                        coll, weights, p, t, k), (trial, p, t, k)
 
 
 def wide_index(seed):
@@ -201,39 +191,36 @@ def wide_index(seed):
     return coll, weights, DocumentIndex(coll, weights)
 
 
-def test_t_mine_scan_and_anchors_agree_on_both_sides_of_the_rule(monkeypatch):
+def test_t_mine_scans_the_range_past_the_main_core_scan_width(monkeypatch):
     coll, weights, ix = wide_index(41)
     core = ix.index.core
-    took = []
-    anchors = DocumentIndex._t_mine_anchors
+    calls = []
+    topk_ranks = _SparseCore.topk_ranks
 
     def spy(self, *args):
-        took.append("anchors")
-        return anchors(self, *args)
+        calls.append((self, *args))
+        return topk_ranks(self, *args)
 
-    monkeypatch.setattr(DocumentIndex, "_t_mine_anchors", spy)
-    sides = set()
+    # t_mine's work runs in topk_ranks, the core method the tracer times
+    monkeypatch.setattr(_SparseCore, "topk_ranks", spy)
+    past = set()
     for p in (b"a", b"b", b"ab", b"bab", b"abba", b"aabab"):
         a, b = ix.pattern_range(p)
         for t in ix.t_values[1:]:
             for k in (1, 16, 1024):
-                want = naive_t_mine(coll, weights, p, t, k)
-                scans = core.scans(a, b, k)
-                sides.add(scans)
-                took.clear()
-                assert ix.t_mine(p, t, k) == want, (p, t, k)
-                assert took == ([] if scans else ["anchors"])
-                # both paths on the same range, whichever the rule picked
-                assert ix.arr.list_from_ranks(core._scan(a, b, k, t)) == want
-                assert anchors(ix, a, b, t, k) == want
-    assert sides == {True, False}
+                past.add(b - a >= core.scan_width(k))
+                calls.clear()
+                assert ix.t_mine(p, t, k) == naive_t_mine(
+                    coll, weights, p, t, k), (p, t, k)
+                assert calls == [(core, a, b, k, t)]
+                assert core.last_scanned == b - a + 1
+    # ranked_list would descend on some of these ranges, not on others
+    assert past == {True, False}
 
 
 def test_unbuilt_t_is_unsupported_on_a_scanned_range():
     coll, weights, _ = wide_index(41)
     ix = DocumentIndex(coll, weights, t_values=[1, 2, 4])
-    rng = ix.pattern_range(b"abba")
-    assert ix.index.core.scans(*rng, 16)
     for t in (3, 8):
         with pytest.raises(UnsupportedT):
             ix.t_mine(b"abba", t, 16)

@@ -406,6 +406,7 @@ def test_thresholded_scan_matches_counts_with_both_kernels(sigma):
             for k in (1, 16, 1024):
                 want = oracle_thresholded(arr, a, b, k, t)
                 assert arr.list_from_ranks(core._scan(a, b, k, t)) == want
+                assert arr.list_from_ranks(core.topk_ranks(a, b, k, t)) == want
                 for switch in (0, n):
                     core._mask_from = switch
                     got = core._scan(a, b, k, t)
@@ -435,5 +436,3 @@ def test_scan_rule_adds_no_parameter():
     assert names(SparseTopK.__init__) == ["self", "arr", "f"]
     assert names(OptimalTopK.__init__) == ["self", "arr"]
     assert names(_SparseCore.scan_width) == ["self", "k"]
-    # one predicate serves topk_ranks and DocumentIndex.t_mine
-    assert names(_SparseCore.scans) == ["self", "a", "b", "k"]

@@ -29,14 +29,14 @@ earlier scan kernel, a sort of rank_of[colors[a-1:b]], for reference.
 
     python3 tools/scan_sweep.py --seed 17 --out sweep.json
 
-A third sweep times DocumentIndex.t_mine's two paths on the docs
-workload's index at --seed: the thresholded scan of the main core
-(_SparseCore._scan with t) and the anchor path (_t_mine_anchors), for
-t in {2, 8, 64} and K in {1, 16, 1024}, on about 130 patterns spread over
-suffix widths from 64 to 52k.  Both answers are checked against
-perfbench/check.py, and the main core's scan-or-descend rule (scans),
-which picks the path, is priced against the cheaper one, over all cells
-and over the cells on each side of the rule.
+A third sweep times DocumentIndex.t_mine's scan (the main core's
+topk_ranks with a threshold t) against the paper's anchor path, which the
+library builds but no longer queries (anchor_t_mine below), on the docs
+workload's index at --seed, for t in {2, 8, 64} and K in {1, 16, 1024},
+on about 130 patterns spread over suffix widths from 64 to 52k.  Both
+answers are checked against perfbench/check.py, and the time the scan
+loses against the cheaper path is reported over all cells and over those
+past the main core's scan_width(k).
 
 It takes about half a minute on two cores and about 300 MB.
 """
@@ -64,7 +64,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import check  # noqa: E402
 import topkolors as tk  # noqa: E402
 import workloads  # noqa: E402
-from topkolors import sparse  # noqa: E402
+from topkolors import docs, sparse  # noqa: E402
 
 WIDTHS = [64, 256, 1024, 2048, 3072, 4096, 6144, 8192, 12288, 16384,
           24576, 32768, 49152, 65536, 98304, 131072]
@@ -290,11 +290,30 @@ def tmine_patterns(ix, words):
     return out
 
 
+def anchor_t_mine(ix, a, b, t, k):
+    """t_mine over suffix slots [a, b] from ix's t-anchors: every anchor
+    color in the range streamed, kept if its document's exact count of
+    occurrences in [a, b] reaches t."""
+    anchor = ix._anchors[t]
+    if anchor.slots is None:
+        return tk.ColorList([])
+    lo, hi = docs._slot_bounds(anchor.slots, a, b)
+    if lo == hi:
+        return tk.ColorList([])
+    out = []
+    for c, w in tk.open_stream(anchor.index, lo + 1, hi):
+        doc = int(anchor.doc_of_loc[c])
+        if ix._count_in_slots(doc, a, b) >= t:
+            out.append((doc, w))
+            if len(out) == k:
+                break
+    return tk.ColorList(out)
+
+
 def tmine_sweep(seed: int) -> dict:
-    """Times both t_mine paths of the docs workload's index on the same
-    suffix ranges, checks both against the benchmark's checker, and prices
-    the main core's scan-or-descend rule (scans), which picks between
-    them, against the cheaper path of each cell."""
+    """Times t_mine's scan and the anchor path of the docs workload's
+    index on the same suffix ranges, checks both against the benchmark's
+    checker, and prices the scan against the cheaper path of each cell."""
     texts, weights, words, _ = workloads.corpus(np.random.default_rng(seed))
     ix = tk.DocumentIndex(tk.DocumentCollection(texts),
                           {j: int(w) for j, w in enumerate(weights)})
@@ -310,9 +329,9 @@ def tmine_sweep(seed: int) -> dict:
                 times = {"scan_us": [], "anchors_us": []}
                 for _ in range(TMINE_REPEATS):
                     t0 = perf()
-                    got = ix.arr.list_from_ranks(core._scan(a, b, k, t))
+                    got = ix.arr.list_from_ranks(core.topk_ranks(a, b, k, t))
                     t1 = perf()
-                    alt = ix._t_mine_anchors(a, b, t, k)
+                    alt = anchor_t_mine(ix, a, b, t, k)
                     times["anchors_us"].append(perf() - t1)
                     times["scan_us"].append(t1 - t0)
                     for answer in (got, alt):
@@ -320,27 +339,27 @@ def tmine_sweep(seed: int) -> dict:
                         if why is not None:
                             raise AssertionError(f"t_mine {p!r} {t} {k}: {why}")
                 rows.append({"width": b - a + 1, "t": t, "k": k,
-                             "rule": "scan" if core.scans(a, b, k) else "anchors",
                              **{c: round(statistics.median(v) * 1e6, 1)
                                 for c, v in times.items()}})
 
     def loss(cells):
         best_us = sum(min(r["scan_us"], r["anchors_us"]) for r in cells)
-        lost = [r[r["rule"] + "_us"] - min(r["scan_us"], r["anchors_us"])
+        lost = [r["scan_us"] - min(r["scan_us"], r["anchors_us"])
                 for r in cells]
         return {"cells": len(cells), "best_us": round(best_us, 1),
                 "lost_us": round(sum(lost), 1),
                 "lost_share": round(sum(lost) / best_us, 3),
-                "cells_wrong": sum(x > 0 for x in lost)}
+                "cells_wrong": sum(x > 0 for x in lost),
+                "median_anchors_over_scan": round(statistics.median(
+                    r["anchors_us"] / r["scan_us"] for r in cells), 2)}
 
     return {
         "n": ix.n, "sigma": ix.arr.sigma,
         "patterns": len(rows) // (len(TMINE_TS) * len(TMINE_KS)),
         "scan_width": {k: core.scan_width(k) for k in TMINE_KS},
-        # over every cell, then over the cells the rule scans or streams
-        "loss": {"all": loss(rows), **{
-            side: loss([r for r in rows if r["rule"] == side])
-            for side in ("scan", "anchors")}},
+        # over every cell, then over the cells ranked_list would descend
+        "loss": {"all": loss(rows), "past_scan_width": loss(
+            [r for r in rows if r["width"] - 1 >= core.scan_width(r["k"])])},
         "columns": list(rows[0]),
         "rows": [list(r.values()) for r in rows],
     }
