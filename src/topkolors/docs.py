@@ -24,10 +24,11 @@ candidate's count answers t_mine without reading the whole range.  No
 query reads them now.  A sweep of both paths on the docs benchmark corpus,
 at suffix widths up to 52k (tools/scan_sweep.py, BENCH_tmine_scan.json),
 found the scan ten times faster in the median and its summed time within
-2 % of the cheaper path's.  The anchors won by a few microseconds where no
-document reaches t, and by up to 4x at k = 1 on the widest ranges.  They
-stay built, in snapshots and in measured_bits, and t_values still names
-the thresholds t_mine accepts.
+2 % of the cheaper path's.  The anchors won by 7-18 us on ranges up to
+3.3k slots at t = 64, where no document reaches t, and by up to 4x at
+k = 1 on the widest ranges.  They are still built, also when a snapshot
+loads, and counted in measured_bits, and t_values still names the
+thresholds t_mine accepts.
 
 RangeHeapMerger combines the streams of several pairwise disjoint ranges
 into one descending (priority, color) order without de-duplicating across
