@@ -16,18 +16,12 @@ least t times in P's slot range [a, b] (_SparseCore.topk_ranks with t): it
 counts the range's own ranks, a slot per occurrence, so its answer is
 exact at any width.
 
-The index also builds the paper's per-t anchor arrays: every t-th
-occurrence slot of each document, in slot order, each with a top-K index.
-Any document with t or more occurrences inside a slot range must place an
-anchor there, so streaming the anchors' colors and confirming each
-candidate's count answers t_mine without reading the whole range.  No
-query reads them now.  A sweep of both paths on the docs benchmark corpus,
-at suffix widths up to 52k (tools/scan_sweep.py, BENCH_tmine_scan.json),
-found the scan ten times faster in the median and its summed time within
-2 % of the cheaper path's.  The anchors won by 7-18 us on ranges up to
-3.3k slots at t = 64, where no document reaches t, and by up to 4x at
-k = 1 on the widest ranges.  They are still built, also when a snapshot
-loads, and counted in measured_bits, and t_values still names the
+The paper answers t >= 2 from per-t anchor arrays (every t-th
+occurrence slot of each document, indexed for top-K); this index builds
+no per-t structure.  A sweep of both paths on the docs benchmark corpus,
+at suffix widths up to 52k (BENCH_tmine_scan.json), found the scan ten
+times faster in the median and its summed time within 2 % of the cheaper
+path's, so the anchors were not worth their space.  t_values names the
 thresholds t_mine accepts.
 
 RangeHeapMerger combines the streams of several pairwise disjoint ranges
@@ -152,44 +146,20 @@ def _check_pattern(pattern) -> bytes:
     return p
 
 
-def _positive(name: str, v) -> int:
-    """v as an int (numpy integers too), or BadParameter unless it is an
-    integer >= 1."""
+def _integer(name: str, v) -> int:
+    """v as an int (numpy integers too), or BadParameter."""
     try:
-        v = operator.index(v)
+        return operator.index(v)
     except TypeError:
         raise BadParameter(f"{name} must be an integer, got {v!r}") from None
+
+
+def _positive(name: str, v) -> int:
+    """v as an int, or BadParameter unless it is an integer >= 1."""
+    v = _integer(name, v)
     if v < 1:
         raise BadParameter(f"{name} must be >= 1, got {v}")
     return v
-
-
-def _slot_bounds(slots: np.ndarray, a: int, b: int):
-    """0-based half-open bounds of the sorted slots inside suffix slots
-    [a, b] (1-based): one searchsorted with needles of the slots' dtype, so
-    numpy does not cast the haystack."""
-    lo, hi = slots.searchsorted(np.array((a - 1, b), dtype=slots.dtype))
-    return int(lo), int(hi)
-
-
-class _AnchorIndex:
-    """Every t-th occurrence slot per document, indexed for top-K; built
-    and counted, though no query reads it (see the module docstring).
-
-    occ holds each slot's 0-based occurrence index inside its document, in
-    the slot arrays' dtype, and colors each slot's document, num_docs for
-    separator slots; prio is the priority of every document id.
-    """
-
-    def __init__(self, t, occ, colors, num_docs, prio):
-        slots = np.flatnonzero((occ % t == t - 1) & (colors < num_docs))
-        if not len(slots):
-            self.slots = None
-            return
-        self.slots = slots.astype(occ.dtype)
-        uniq, loc = np.unique(colors[slots], return_inverse=True)
-        self.doc_of_loc = uniq
-        self.index = OptimalTopK(ColorArray(loc.astype(np.int32), prio[uniq]))
 
 
 class DocumentIndex:
@@ -198,9 +168,10 @@ class DocumentIndex:
     weights maps document index to an integer priority (bigger means more
     relevant); ties between equally weighted documents break toward the
     larger document index.  A missing weight raises MissingPriority, and one
-    that is not an integer BadParameter.  t_values lists the occurrence
-    thresholds t_mine accepts; the default is every power of two up to the
-    longest document.
+    that is not an integer (numpy's are) BadParameter.  t_values lists the
+    occurrence thresholds t_mine accepts; the default is every power of two
+    up to the longest document.  t_mine raises UnsupportedT for a t that is
+    not in t_values.
     """
 
     def __init__(self, collection: DocumentCollection, weights,
@@ -210,12 +181,10 @@ class DocumentIndex:
         self.weights = {}
         for j in range(s):
             try:
-                self.weights[j] = int(weights[j])
+                w = weights[j]
             except LookupError as exc:
                 raise MissingPriority(f"document {j} has no weight") from exc
-            except (TypeError, ValueError) as exc:
-                raise BadParameter(
-                    f"weight of document {j} is not an integer: {exc}") from exc
+            self.weights[j] = _integer(f"weight of document {j}", w)
         dummy_prio = min(self.weights.values()) - 1
         # the separator dummy sorts one below the smallest weight
         if dummy_prio < INT64_MIN or max(self.weights.values()) > INT64_MAX:
@@ -244,21 +213,6 @@ class DocumentIndex:
         )
         self.arr = ColorArray(colors, prio)
         self.index = OptimalTopK(self.arr)
-        # slots of each document in slot order: one stable sort by color
-        slot_dtype = self.suffix_array.dtype
-        by_color = np.argsort(colors, kind="stable").astype(slot_dtype)
-        counts = np.bincount(colors, minlength=s + 1)
-        ends = np.cumsum(counts)
-        self._occ_slots = np.split(by_color, ends[:s])[:s]
-        # each slot's occurrence index inside its document; t = 1 is served
-        # by the main index, so it gets no anchor set
-        occ = np.empty(len(colors), dtype=slot_dtype)
-        starts = np.repeat(ends - counts, counts)
-        occ[by_color] = np.arange(len(colors)) - starts
-        self._anchors = {
-            t: _AnchorIndex(t, occ, colors, s, prio)
-            for t in self.t_values if t > 1
-        }
 
     @property
     def n(self) -> int:
@@ -280,17 +234,18 @@ class DocumentIndex:
         return lo + 1, hi
 
     def occurrence_count(self, doc_index: int, pattern) -> int:
-        """Occurrences of pattern in one document via two bisections."""
+        """Occurrences of pattern in one document: the slots of the
+        pattern's suffix range that hold the document's rank."""
+        doc_index = _integer("document index", doc_index)
         if not 0 <= doc_index < self.collection.num_docs:
             raise BadParameter(f"no document {doc_index}")
         rng = self.pattern_range(pattern)
         if rng is None:
             return 0
-        return self._count_in_slots(doc_index, *rng)
-
-    def _count_in_slots(self, doc_index: int, a: int, b: int) -> int:
-        lo, hi = _slot_bounds(self._occ_slots[doc_index], a, b)
-        return hi - lo
+        a, b = rng
+        arr = self.arr
+        return int(np.count_nonzero(arr.ranks[a - 1 : b]
+                                    == arr.rank_of[doc_index]))
 
     def ranked_list(self, pattern, k: int) -> ColorList:
         """The k highest-weight documents containing the pattern."""
@@ -309,7 +264,7 @@ class DocumentIndex:
             return ColorList([])
         if t not in self.t_values:
             raise UnsupportedT(
-                f"t={t} not built; available: {self.t_values}"
+                f"t={t} not in t_values {self.t_values}"
             )
         if t == 1:
             return self.ranked_list(p, k)
@@ -321,14 +276,8 @@ class DocumentIndex:
     def measured_bits(self) -> int:
         """Bits of every array the index holds, each counted once; the
         collection it was built over is the caller's."""
-        total = nbits(self.suffix_array, *self._occ_slots)
-        total += _color_array_bits(self.arr) + self.index.measured_bits()
-        for anchor in self._anchors.values():
-            if anchor.slots is not None:
-                total += nbits(anchor.slots, anchor.doc_of_loc)
-                total += _color_array_bits(anchor.index.arr)
-                total += anchor.index.measured_bits()
-        return total
+        return (nbits(self.suffix_array) + _color_array_bits(self.arr)
+                + self.index.measured_bits())
 
 
 def _color_array_bits(arr: ColorArray) -> int:

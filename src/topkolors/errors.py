@@ -43,7 +43,7 @@ class SeparatorInContent(TopKError):
 
 
 class UnsupportedT(TopKError):
-    """t-mine was asked for a t value the index was not built for."""
+    """t-mine was asked for a t value not in the index's t_values."""
 
 
 class OverlappingRanges(TopKError):

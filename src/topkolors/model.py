@@ -164,15 +164,18 @@ def new_color_array(
 
     The distinct colors appearing in `colors` must be exactly 0..sigma-1 and
     each must have a priority entry.  Raises EmptyArray, MissingPriority,
-    ColorOutOfRange, or BadParameter for a priority that is not an integer
-    or lies outside int64.
+    ColorOutOfRange for color ids that are not integers in 0..sigma-1, or
+    BadParameter for a priority that is not an integer (numpy's are) or
+    lies outside int64.
     """
-    try:
-        arr = np.asarray(colors, dtype=np.int64)
-    except OverflowError as exc:
-        raise ColorOutOfRange(f"color id outside int64: {exc}") from exc
+    arr = np.asarray(colors)
     if arr.size == 0:
         raise EmptyArray("color array must be non-empty")
+    # no float, bool or object ids: casting would truncate 1.7 to 1
+    if arr.dtype.kind not in "iu":
+        raise ColorOutOfRange(
+            f"color ids must be integers within int64, got dtype {arr.dtype}"
+        )
     distinct = np.unique(arr)
     if distinct[0] < 0:
         raise ColorOutOfRange(f"negative color id {int(distinct[0])}")
@@ -187,10 +190,10 @@ def new_color_array(
         if c not in priorities:
             raise MissingPriority(f"color {c} has no priority")
         try:
-            p = int(priorities[c])
-        except (TypeError, ValueError) as exc:
-            raise BadParameter(
-                f"priority of color {c} is not an integer: {exc}") from exc
+            p = operator.index(priorities[c])
+        except TypeError:
+            raise BadParameter(f"priority of color {c} is not an integer, "
+                               f"got {priorities[c]!r}") from None
         if not INT64_MIN <= p <= INT64_MAX:
             raise BadParameter(f"priority {p} of color {c} is outside int64")
         prio[c] = p

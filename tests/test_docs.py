@@ -114,8 +114,11 @@ def test_input_validation():
         ix.ranked_list("a", 0)
     with pytest.raises(BadParameter):
         ix.t_mine("a", 0, 1)
-    with pytest.raises(BadParameter):
-        ix.occurrence_count(5, "a")
+    for doc in (5, -1, 1.0, "1", None):
+        with pytest.raises(BadParameter):
+            ix.occurrence_count(doc, "a")
+    assert ix.occurrence_count(np.int64(0), "a") == 1
+    assert ix.occurrence_count(np.uint8(0), "c") == 1
 
 
 def random_collection(rng, num_docs, max_len, alphabet=b"ab"):
@@ -154,11 +157,12 @@ def test_pattern_range_exhaustive_small():
 
 def test_occurrence_count_matches_scan():
     rng = np.random.default_rng(33)
-    coll = random_collection(rng, 6, 12)
-    ix = DocumentIndex(coll, {j: 10 * j for j in range(6)})
-    for p in all_patterns(coll, 3):
-        for j in range(coll.num_docs):
-            assert ix.occurrence_count(j, p) == coll.count_occurrences(j, p)
+    for num_docs, max_len, alphabet in ((6, 12, b"ab"), (40, 30, b"abc")):
+        coll = random_collection(rng, num_docs, max_len, alphabet)
+        ix = DocumentIndex(coll, {j: 10 * j for j in range(num_docs)})
+        for p in all_patterns(coll, 3):
+            for j in range(num_docs):
+                assert ix.occurrence_count(j, p) == coll.count_occurrences(j, p)
 
 
 def test_t_mine_matches_naive_exhaustive():
@@ -334,9 +338,11 @@ def test_missing_weight_is_missing_priority():
 
 
 def test_non_integer_weight_is_bad_parameter():
-    for bad in ("x", None):
+    for bad in ("x", None, 2.5, np.float64(3.5), "5"):
         with pytest.raises(BadParameter):
             DocumentIndex(DocumentCollection(["ab", "ba"]), {0: 1, 1: bad})
+    ix = DocumentIndex(DocumentCollection(["ab", "ba"]), {0: 1, 1: np.int8(5)})
+    assert ix.weights == {0: 1, 1: 5}
 
 
 def test_narrow_patterns_match_naive():
@@ -374,7 +380,6 @@ def test_measured_bits_counts_every_held_array_once(held_bits):
     coll = random_collection(rng, 40, 30, b"abc")
     weights = {j: int(w) for j, w in enumerate(rng.integers(0, 9, 40))}
     ix = DocumentIndex(coll, weights)
-    assert len(ix._anchors) > 1
     # the collection is the caller's input, not part of the index
     assert ix.measured_bits() == held_bits(ix, ix.collection)
 
@@ -397,13 +402,13 @@ def test_suffix_array_alphabets_lengths_and_periods():
         assert got.tolist() == naive_suffix_array(text), text
 
 
-def test_t_mine_one_is_ranked_list_without_an_anchor_set():
+def test_t_mine_one_is_ranked_list():
     rng = np.random.default_rng(37)
     for _ in range(4):
         coll = random_collection(rng, 12, 16, b"abc")
         weights = {j: int(w) for j, w in enumerate(rng.integers(0, 5, 12))}
         ix = DocumentIndex(coll, weights)
-        assert 1 in ix.t_values and 1 not in ix._anchors
+        assert 1 in ix.t_values
         for p in all_patterns(coll, 2):
             for k in (1, 3, 12):
                 got = ix.t_mine(p, 1, k)
@@ -421,26 +426,17 @@ def test_slot_arrays_are_int32():
     ix = DocumentIndex(random_collection(rng, 30, 40, b"abc"),
                        {j: j for j in range(30)})
     assert ix.suffix_array.dtype == np.int32
-    assert all(s.dtype == np.int32 for s in ix._occ_slots)
-    anchors = [a for a in ix._anchors.values() if a.slots is not None]
-    assert anchors
-    for anchor in anchors:
-        assert anchor.slots.dtype == np.int32
-        assert anchor.doc_of_loc.dtype == np.int32
 
 
 def test_color_arrays_count_16_bits_per_element():
-    # the main and anchor arrays hold uint16 ranks, not int32 colors
+    # the main array holds uint16 ranks, not int32 colors
     rng = np.random.default_rng(39)
     ix = DocumentIndex(random_collection(rng, 30, 40, b"abc"),
                        {j: j % 4 for j in range(30)})
-    arrs = [ix.arr] + [a.index.arr for a in ix._anchors.values()
-                       if a.slots is not None]
-    assert len(arrs) > 1
-    for arr in arrs:
-        per_color = nbits(arr.priority_of, arr.rank_of, arr.color_of_rank)
-        assert arr.sigma <= 1 << 16
-        assert docs_module._color_array_bits(arr) - per_color == 16 * arr.n
+    arr = ix.arr
+    per_color = nbits(arr.priority_of, arr.rank_of, arr.color_of_rank)
+    assert arr.sigma <= 1 << 16
+    assert docs_module._color_array_bits(arr) - per_color == 16 * arr.n
 
 
 def test_measured_bits_bound():
@@ -452,36 +448,3 @@ def test_measured_bits_bound():
     ix = DocumentIndex(coll, weights)
     assert ix.measured_bits() / ix.n <= 320
 
-
-def loop_anchors(occ_slots, t):
-    """Every t-th slot of each document's slot list, concatenated and
-    stable-sorted by slot: the reference for the anchor sets."""
-    parts, owners = [], []
-    for j, s in enumerate(occ_slots):
-        anchors = s[t - 1 :: t]
-        parts.append(anchors)
-        owners.append(np.full(len(anchors), j))
-    slots = np.concatenate(parts)
-    order = np.argsort(slots, kind="stable")
-    return slots[order], np.concatenate(owners)[order]
-
-
-def test_anchor_sets_match_per_document_loop():
-    rng = np.random.default_rng(39)
-    coll = random_collection(rng, 25, 30, b"ab")
-    weights = {j: int(w) for j, w in enumerate(rng.integers(0, 6, 25))}
-    longest = max(len(s) for s in DocumentIndex(coll, weights)._occ_slots)
-    ts = [2, 3, 5, 8, longest, longest + 1]
-    ix = DocumentIndex(coll, weights, t_values=ts)
-    for t in ts:
-        slots, owners = loop_anchors(ix._occ_slots, t)
-        anchor = ix._anchors[t]
-        if not len(slots):
-            assert t == longest + 1 and anchor.slots is None
-            continue
-        assert anchor.slots.tolist() == slots.tolist()
-        docs = anchor.doc_of_loc[anchor.index.arr.colors]
-        assert docs.tolist() == owners.tolist()
-        assert anchor.doc_of_loc.tolist() == sorted(set(owners.tolist()))
-        assert anchor.index.arr.priority_of.tolist() == [
-            weights[int(j)] for j in anchor.doc_of_loc]

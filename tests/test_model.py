@@ -160,9 +160,19 @@ def test_values_outside_int64_are_topk_errors():
 
 
 def test_non_integer_priority_is_bad_parameter():
-    for bad in ("x", None, [1]):
+    for bad in ("x", None, [1], 2.5, np.float64(3.5), "5"):
         with pytest.raises(BadParameter):
             new_color_array([0, 1], {0: 1, 1: bad})
+    assert new_color_array([0, 1], {0: 1, 1: np.int8(5)}).priority_of[1] == 5
+
+
+def test_non_integer_color_ids_are_color_out_of_range():
+    for colors in ([0, 1.7, 1], [0.0, 1.0], np.array([0, 1], dtype=np.float32),
+                   [False, True], [0, "1"]):
+        with pytest.raises(ColorOutOfRange):
+            new_color_array(colors, {0: 1, 1: 2})
+    arr = new_color_array(np.array([1, 0, 1], dtype=np.uint8), {0: 1, 1: 2})
+    assert arr.colors.tolist() == [1, 0, 1]
 
 
 def test_list_from_ranks_gives_python_ints():

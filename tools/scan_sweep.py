@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Sweeps of the query paths of the sparse core and of t_mine, and rule fits.
+"""Sweeps of the query paths of the sparse core, and rule fits.
 
 For every core, range width and K, this times the sort scan, the mask scan
 and the descent of _SparseCore on the same random starts, one call each,
@@ -29,16 +29,7 @@ earlier scan kernel, a sort of rank_of[colors[a-1:b]], for reference.
 
     python3 tools/scan_sweep.py --seed 17 --out sweep.json
 
-A third sweep times DocumentIndex.t_mine's scan (the main core's
-topk_ranks with a threshold t) against the paper's anchor path, which the
-library builds but no longer queries (anchor_t_mine below), on the docs
-workload's index at --seed, for t in {2, 8, 64} and K in {1, 16, 1024},
-on about 130 patterns spread over suffix widths from 64 to 52k.  Both
-answers are checked against perfbench/check.py, and the time the scan
-loses against the cheaper path is reported over all cells and over those
-past the main core's scan_width(k).
-
-It takes about half a minute on two cores and about 300 MB.
+It takes about 15 seconds on one core and under 300 MB.
 """
 
 from __future__ import annotations
@@ -61,20 +52,14 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-import check  # noqa: E402
 import topkolors as tk  # noqa: E402
 import workloads  # noqa: E402
-from topkolors import docs, sparse  # noqa: E402
+from topkolors import sparse  # noqa: E402
 
 WIDTHS = [64, 256, 1024, 2048, 3072, 4096, 6144, 8192, 12288, 16384,
           24576, 32768, 49152, 65536, 98304, 131072]
 KS = [1, 3, 16, 127, 1024]
 KERNEL_SIGMAS = [4, 64, 256, 1024, 2001, 4096, 16384, 65537]
-TMINE_TS = (2, 8, 64)
-TMINE_KS = (1, 16, 1024)
-# t_mine patterns per power-of-two suffix width, and calls per path and cell
-TMINE_PER_WIDTH = 16
-TMINE_REPEATS = 5
 PATHS = ("sort_us", "mask_us", "descent_us")
 NEVER = 1 << 62
 
@@ -266,105 +251,6 @@ def sweep(seed: int, starts: int):
     return kernels, swept
 
 
-def tmine_patterns(ix, words):
-    """(pattern, (a, b)) pairs of the docs corpus by suffix width: every
-    one- and two-byte string, each word with its spaces and each word's
-    first three bytes, up to TMINE_PER_WIDTH of each power-of-two width
-    from 64 on, spread evenly over the bucket's widths."""
-    alpha = sorted(set(ix.collection.text) - {0})
-    cands = ({bytes([c]) for c in alpha}
-             | {bytes([c, d]) for c in alpha for d in alpha}
-             | {b" " + w + b" " for w in words} | {w[:3] for w in words})
-    buckets = {}
-    for p in sorted(cands):
-        rng = ix.pattern_range(p)
-        w = 0 if rng is None else rng[1] - rng[0] + 1
-        if w >= 64:
-            buckets.setdefault(w.bit_length(), []).append((w, p, rng))
-    out = []
-    for _, cell in sorted(buckets.items()):
-        cell.sort()
-        picks = np.linspace(0, len(cell) - 1,
-                            min(TMINE_PER_WIDTH, len(cell)))
-        out += [cell[int(i)][1:] for i in np.unique(picks.round())]
-    return out
-
-
-def anchor_t_mine(ix, a, b, t, k):
-    """t_mine over suffix slots [a, b] from ix's t-anchors: every anchor
-    color in the range streamed, kept if its document's exact count of
-    occurrences in [a, b] reaches t."""
-    anchor = ix._anchors[t]
-    if anchor.slots is None:
-        return tk.ColorList([])
-    lo, hi = docs._slot_bounds(anchor.slots, a, b)
-    if lo == hi:
-        return tk.ColorList([])
-    out = []
-    for c, w in tk.open_stream(anchor.index, lo + 1, hi):
-        doc = int(anchor.doc_of_loc[c])
-        if ix._count_in_slots(doc, a, b) >= t:
-            out.append((doc, w))
-            if len(out) == k:
-                break
-    return tk.ColorList(out)
-
-
-def tmine_sweep(seed: int) -> dict:
-    """Times t_mine's scan and the anchor path of the docs workload's
-    index on the same suffix ranges, checks both against the benchmark's
-    checker, and prices the scan against the cheaper path of each cell."""
-    texts, weights, words, _ = workloads.corpus(np.random.default_rng(seed))
-    ix = tk.DocumentIndex(tk.DocumentCollection(texts),
-                          {j: int(w) for j, w in enumerate(weights)})
-    core, scan_docs = ix.index.core, check.Corpus(texts)
-    order = check.rank_order(weights)
-    perf = time.perf_counter
-    rows = []
-    for p, (a, b) in tmine_patterns(ix, words):
-        counts = scan_docs.counts(p)
-        for t in TMINE_TS:
-            for k in TMINE_KS:
-                want = check.scan_docs(counts, weights, order, t, k)
-                times = {"scan_us": [], "anchors_us": []}
-                for _ in range(TMINE_REPEATS):
-                    t0 = perf()
-                    got = ix.arr.list_from_ranks(core.topk_ranks(a, b, k, t))
-                    t1 = perf()
-                    alt = anchor_t_mine(ix, a, b, t, k)
-                    times["anchors_us"].append(perf() - t1)
-                    times["scan_us"].append(t1 - t0)
-                    for answer in (got, alt):
-                        why = check.verify(answer, want)
-                        if why is not None:
-                            raise AssertionError(f"t_mine {p!r} {t} {k}: {why}")
-                rows.append({"width": b - a + 1, "t": t, "k": k,
-                             **{c: round(statistics.median(v) * 1e6, 1)
-                                for c, v in times.items()}})
-
-    def loss(cells):
-        best_us = sum(min(r["scan_us"], r["anchors_us"]) for r in cells)
-        lost = [r["scan_us"] - min(r["scan_us"], r["anchors_us"])
-                for r in cells]
-        return {"cells": len(cells), "best_us": round(best_us, 1),
-                "lost_us": round(sum(lost), 1),
-                "lost_share": round(sum(lost) / best_us, 3),
-                "cells_wrong": sum(x > 0 for x in lost),
-                "median_anchors_over_scan": round(statistics.median(
-                    r["anchors_us"] / r["scan_us"] for r in cells), 2)}
-
-    return {
-        "n": ix.n, "sigma": ix.arr.sigma,
-        "patterns": len(rows) // (len(TMINE_TS) * len(TMINE_KS)),
-        "scan_width": {k: core.scan_width(k) for k in TMINE_KS},
-        # over every cell, then over the cells ranked_list would descend
-        "loss": {"all": loss(rows), "past_scan_width": loss(
-            [r for r in rows if r["width"] - 1 >= core.scan_width(r["k"])])},
-        "columns": list(rows[0]),
-        "rows": [list(r.values()) for r in rows],
-    }
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, default=17)
@@ -387,7 +273,6 @@ def main(argv=None) -> int:
                             "rows": [list(r.values()) for r in rows]}
                     for sigma, rows in kernels.items()},
         "cores": {},
-        "tmine": tmine_sweep(args.seed),
     }
     for name, (core, rows) in swept.items():
         sigma, n = core._arr.sigma, core._arr.n
@@ -410,7 +295,6 @@ def main(argv=None) -> int:
     print(json.dumps(result["fit"]))
     for name, c in result["cores"].items():
         print(name, json.dumps(c["loss"]))
-    print("t_mine", json.dumps(result["tmine"]["loss"]))
     return 0
 
 
