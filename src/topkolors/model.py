@@ -164,11 +164,16 @@ def new_color_array(
 
     The distinct colors appearing in `colors` must be exactly 0..sigma-1 and
     each must have a priority entry.  Raises EmptyArray, MissingPriority,
-    ColorOutOfRange for color ids that are not integers in 0..sigma-1, or
-    BadParameter for a priority that is not an integer (numpy's are) or
-    lies outside int64.
+    ColorOutOfRange for color ids that are not integers in 0..sigma-1 or
+    not one flat sequence, or BadParameter for a priority that is not an
+    integer (numpy's are) or lies outside int64.
     """
-    arr = np.asarray(colors)
+    try:
+        arr = np.asarray(colors)
+    except ValueError:  # nested lists of unequal lengths
+        raise ColorOutOfRange("colors must be a flat sequence of ids") from None
+    if arr.ndim != 1:
+        raise ColorOutOfRange(f"colors must be flat, got {arr.ndim} dimensions")
     if arr.size == 0:
         raise EmptyArray("color array must be non-empty")
     # no float, bool or object ids: casting would truncate 1.7 to 1

@@ -13,10 +13,10 @@ N = 2^18, whose levels are {0, 9, 12}.  A range no wider than the core's
 scan width, the descent's measured cost in scanned positions (about 23.8k
 positions at k = 1 and 69k at k = 1024 there), is answered from its own
 ranks, one slice of the uint16 ranks the ColorArray already holds, so that
-rule stores nothing new: sorted below about 1.7k positions, and marked in
-a sigma-long presence mask read from the top above.  A wider range walks a frontier of at most k nodes down
-the levels, and tests each leaf under it with one searchsorted needle; the
-leaves found are the answer, in rank order.
+rule stores nothing new: sorted below about 1.7k positions, and counted in
+a sigma-long array read from the top above.  A wider range walks a frontier
+of at most k nodes down the levels, and tests each leaf under it with one
+searchsorted needle; the leaves found are the answer, in rank order.
 
 The class adds nothing to SparseTopK(f=2).  It stays a class of its own
 because snapshots record the kind by class, and the benchmark's tracer

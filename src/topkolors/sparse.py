@@ -21,18 +21,18 @@ A query no wider than scan_width(k) is answered from its own ranks: the
 core reads one slice, ranks[a-1:b], of the per-position ranks the
 ColorArray stores (uint16 up to sigma = 2^16), with no gather.  It takes
 the cheaper of two kernels.  A narrow slice is sorted, and the k highest
-distinct values kept, in O(w log w).  A wider one is marked in a
-sigma-long presence mask, whose set entries are read from the top, in
+distinct values kept, in O(w log w).  A wider one is counted in a
+sigma-long array, whose entries of at least t are read from the top, in
 O(w + sigma).  One cost rule on (w, sigma) picks the kernel: the sort
-costs w * log2(min(w, sigma)) comparisons, the mask _MASK_POSITION per
-position and _MASK_COLOR per color.  The mask takes over from about 1.7k
+costs w * log2(min(w, sigma)) comparisons, the count _MASK_POSITION per
+position and _MASK_COLOR per color.  The count takes over from about 1.7k
 positions at sigma = 4096 and 16k at sigma = 2^16 + 1, and never at
 sigma <= 64.  topk_ranks with a threshold t >= 2, which
 DocumentIndex.t_mine asks for, keeps only the ranks occurring at least t
 times in the range and always scans, whatever the width, since the
 descent cannot count: under the same kernel switch, the sort kernel keeps
-runs of equal ranks at least t long, and the mask becomes a sigma-long
-count, bincount >= t.
+only runs of equal ranks at least t long, and the count keeps only
+entries of at least t.
 
 scan_width(k) is the descent's estimated cost in scanned positions: a
 fixed cost per level step, plus a cost per unit of its work.  The units
@@ -62,9 +62,8 @@ level set of any depth.  No level stores its ranks or a counting
 structure; this is the greedy top-k descent of Gagie, Navarro and Puglisi
 (TCS 2012) on a multiary wavelet tree (Ferragina, Manzini, Makinen and
 Navarro, ACM TALG 2007).  last_visited counts the children mapped above
-the leaf level, and last_scanned the width the scan read; each is 0 when
-the other path ran.  Larger f means fewer levels (less space) but wider
-frontiers.
+the leaf level, 0 when the scan ran.  Larger f means fewer levels (less
+space) but wider frontiers.
 
 _SparseCore is built over a ColorArray and answers in rank space (ranks
 dense in [0, sigma)); SparseTopK turns its ranks back into (color, priority)
@@ -92,7 +91,7 @@ _STEP_WIDTH = 11500
 _UNIT_WIDTH = 30
 # the most scan_width grows per unit of k: one leaf needle, two root children
 _K_WIDTH = 3 * _UNIT_WIDTH
-# The scan's two kernels, costed in sort comparisons: the mask's per
+# The scan's two kernels, costed in sort comparisons: the count's per
 # position and per color of its sigma-long array.  Fitted to the sweep of
 # both kernels recorded in BENCH_mask_scan.json.
 _MASK_POSITION = 6.0
@@ -100,10 +99,10 @@ _MASK_COLOR = 2.0
 
 
 def _mask_crossover(sigma: int, n: int) -> int:
-    """The least b - a whose range the scan reads through the presence
-    mask, n when no range of an n-long array is.  Sorting w ranks costs
-    w * log2(min(w, sigma)) and the mask _MASK_POSITION * w +
-    _MASK_COLOR * sigma; once the mask is the cheaper, it stays so for
+    """The least b - a whose range the scan counts in a sigma-long array,
+    n when no range of an n-long array is.  Sorting w ranks costs
+    w * log2(min(w, sigma)) and counting them _MASK_POSITION * w +
+    _MASK_COLOR * sigma; once the count is the cheaper, it stays so for
     every wider range, so a bisection finds the crossover."""
     lo, hi = 1, n + 1
     while lo < hi:
@@ -117,7 +116,7 @@ def _mask_crossover(sigma: int, n: int) -> int:
 
 class _SparseCore:
     __slots__ = ("levels", "_arr", "_E", "_off", "_mult", "_w1",
-                 "_mask_from", "last_visited", "last_scanned")
+                 "_mask_from", "last_visited")
 
     def __init__(self, arr: ColorArray, f: int):
         try:
@@ -173,7 +172,7 @@ class _SparseCore:
         # topk_ranks computes it only for a range between the two
         self._w1 = self.scan_width(1)
         self._mask_from = _mask_crossover(arr.sigma, n)
-        self.last_visited = self.last_scanned = 0
+        self.last_visited = 0
 
     # stays until the benchmark retires its map_child tracing hook
     def map_child(self, li: int, child: int, a: int, b: int):
@@ -271,7 +270,7 @@ class _SparseCore:
         if t > 1:
             return self._scan(a, b, k, t)
         if len(self.levels) == 1:
-            self.last_visited = self.last_scanned = 0
+            self.last_visited = 0
             return np.zeros(1, dtype=np.intp)
         w = b - a
         if w < self._w1 or (w < self._w1 + _K_WIDTH * (k - 1)
@@ -282,35 +281,28 @@ class _SparseCore:
     def _scan(self, a: int, b: int, k: int, t: int = 1) -> np.ndarray:
         """The top k of the ranks that occur at least t times in [a, b],
         from the range's own ranks: sorted while b - a is below _mask_from,
-        else marked (t = 1) or counted (t >= 2) in a sigma-long array read
-        from the top."""
+        else counted in a sigma-long array read from the top."""
         self.last_visited = 0
-        self.last_scanned = b - a + 1
-        arr = self._arr
-        r = arr.ranks[a - 1 : b]
+        r = self._arr.ranks[a - 1 : b]
         if b - a >= self._mask_from:
-            if t == 1:
-                seen = np.zeros(arr.sigma, dtype=bool)
-                seen[r] = True
-            else:
-                seen = np.bincount(r, minlength=arr.sigma) >= t
-            return np.flatnonzero(seen)[: -k - 1 : -1]
+            counts = np.bincount(r, minlength=self._arr.sigma)
+            return np.flatnonzero(counts >= t)[: -k - 1 : -1]
         r = np.sort(r)
         # keep the last of each run of equal ranks
         last = np.empty(len(r), dtype=bool)
         last[-1] = True
         np.not_equal(r[1:], r[:-1], out=last[:-1])
-        if t == 1:
-            return r[last][: -k - 1 : -1]
-        # the ranks are sorted, so a run at least t long ends at i iff
-        # last[i] and r[i - t + 1] == r[i]
-        tail = r[t - 1 :]
-        keep = last[t - 1 :] & (tail == r[: len(tail)])
-        return tail[keep][: -k - 1 : -1]
+        if t > 1:
+            # the ranks are sorted, so a run at least t long ends at i iff
+            # last[i] and r[i - t + 1] == r[i]
+            tail = r[t - 1 :]
+            last = last[t - 1 :] & (tail == r[: len(tail)])
+            r = tail
+        return r[last][: -k - 1 : -1]
 
     def _descend(self, a: int, b: int, k: int) -> np.ndarray:
         """The top k of [a, b] by walking a frontier down the levels."""
-        self.last_visited = self.last_scanned = 0
+        self.last_visited = 0
         frontier = (np.zeros(1, dtype=np.int64), np.array([a - 1]),
                     np.array([b - a + 1]))
         for li in range(len(self.levels) - 1):

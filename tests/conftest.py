@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from topkolors.sparse import _SparseCore
+
 
 def _held_arrays(obj, seen, out):
     """Every ndarray reachable from obj through topkolors objects,
@@ -34,3 +36,17 @@ def held_bits():
         _held_arrays(obj, {id(excluded)}, out)
         return sum(8 * a.nbytes for a in out.values())
     return bits
+
+
+@pytest.fixture
+def core_paths(monkeypatch):
+    """Every _SparseCore._scan and _descend call as (path, core, a, b), in
+    call order: the path each query took, read without core state.  The
+    test clears the list between queries."""
+    calls = []
+    for name in ("_scan", "_descend"):
+        def spy(core, a, b, *args, name=name, run=getattr(_SparseCore, name)):
+            calls.append((name, core, a, b))
+            return run(core, a, b, *args)
+        monkeypatch.setattr(_SparseCore, name, spy)
+    return calls

@@ -195,7 +195,8 @@ def wide_index(seed):
     return coll, weights, DocumentIndex(coll, weights)
 
 
-def test_t_mine_scans_the_range_past_the_main_core_scan_width(monkeypatch):
+def test_t_mine_scans_the_range_past_the_main_core_scan_width(monkeypatch,
+                                                              core_paths):
     coll, weights, ix = wide_index(41)
     core = ix.index.core
     calls = []
@@ -214,10 +215,11 @@ def test_t_mine_scans_the_range_past_the_main_core_scan_width(monkeypatch):
             for k in (1, 16, 1024):
                 past.add(b - a >= core.scan_width(k))
                 calls.clear()
+                core_paths.clear()
                 assert ix.t_mine(p, t, k) == naive_t_mine(
                     coll, weights, p, t, k), (p, t, k)
                 assert calls == [(core, a, b, k, t)]
-                assert core.last_scanned == b - a + 1
+                assert core_paths == [("_scan", core, a, b)]
     # ranked_list would descend on some of these ranges, not on others
     assert past == {True, False}
 
@@ -345,7 +347,7 @@ def test_non_integer_weight_is_bad_parameter():
     assert ix.weights == {0: 1, 1: 5}
 
 
-def test_narrow_patterns_match_naive():
+def test_narrow_patterns_match_naive(core_paths):
     # marker "Q" + two upper-case letters occurs exactly occ times, spread
     # over random documents of a-d; 300 documents give 301 colors and a
     # root with 64 children, so up to 64 occurrences is the scan's side
@@ -366,10 +368,11 @@ def test_narrow_patterns_match_naive():
         a, b = ix.pattern_range(p)
         assert b - a + 1 == occ
         for k in (1, 4, 300):
+            core_paths.clear()
             assert ix.ranked_list(p, k) == naive_ranked_list(
                 coll, weights, p, k)
             if occ <= 64:
-                assert core.last_scanned == occ
+                assert core_paths == [("_scan", core, a, b)]
             for t in (1, 2):
                 assert ix.t_mine(p, t, k) == naive_t_mine(
                     coll, weights, p, t, k), (p, t, k)

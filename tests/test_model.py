@@ -168,7 +168,7 @@ def test_non_integer_priority_is_bad_parameter():
 
 def test_non_integer_color_ids_are_color_out_of_range():
     for colors in ([0, 1.7, 1], [0.0, 1.0], np.array([0, 1], dtype=np.float32),
-                   [False, True], [0, "1"]):
+                   [False, True], [0, "1"], [[0, 1], [1, 0]], [[0], [1, 0]]):
         with pytest.raises(ColorOutOfRange):
             new_color_array(colors, {0: 1, 1: 2})
     arr = new_color_array(np.array([1, 0, 1], dtype=np.uint8), {0: 1, 1: 2})

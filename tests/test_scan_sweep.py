@@ -4,7 +4,8 @@ _mask_from, _scan and _descend, and sparse's four rule constants.
 A rename or a changed rule there breaks the tool; this test catches that
 at test time.  The tool is loaded from its file, unchanged, and run on
 one small core: check_library checks that the library's rules are the
-ones the tool fits, and time_cell that every path gives the same answer.
+ones the tool fits, time_cell that every path gives the same answer, and
+losses prices the library's rule on the timed cell.
 """
 
 import importlib.util
@@ -38,6 +39,13 @@ def test_sweep_tool_runs_on_a_small_core():
     sweep.check_library(core)
     mask_from = core._mask_from
     # raises AssertionError if the paths disagree on a range
-    times = sweep.time_cell(core, core._arr.colors, rng, 256, 16, 2)
+    times = sweep.time_cell(core, rng, 256, 16, 2)
     assert set(times) == set(sweep.PATHS)
     assert core._mask_from == mask_from
+    row = {"width": 256, "k": 16, **times}
+    loss = sweep.losses(core, [row])
+    best = min(times.values())
+    assert loss["best_us"] == round(best, 1)
+    # 256 positions are scanned at k = 16, by the sort kernel
+    assert loss["current"]["lost_us"] == round(times["sort_us"] - best, 1)
+    assert loss["current"]["cells_wrong"] == (times["sort_us"] > best)

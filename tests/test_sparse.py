@@ -220,7 +220,7 @@ def root_width_cores(arr):
     return [(ix, ix.core) for ix in ixs]
 
 
-def test_root_width_scan_matches_oracle_at_the_threshold():
+def test_root_width_scan_matches_oracle_at_the_threshold(core_paths):
     rng = np.random.default_rng(41)
     for n, sigma in [(2000, 300), (500, 64), (700, 7)]:
         arr = random_surjective(rng, n, sigma)
@@ -237,10 +237,10 @@ def test_root_width_scan_matches_oracle_at_the_threshold():
                         got = ix.topk(a, b, k)
                         assert got == oracle_topk(arr, a, b, k), (w, a, k)
                     if w <= fan:
-                        assert core.last_scanned == w
+                        assert core_paths[-1] == ("_scan", core, a, b)
 
 
-def test_root_width_scan_keeps_the_visit_bound():
+def test_root_width_scan_keeps_the_visit_bound(core_paths):
     rng = np.random.default_rng(5)
     n, sigma = 256, 32
     arr = random_surjective(rng, n, sigma)
@@ -250,8 +250,10 @@ def test_root_width_scan_keeps_the_visit_bound():
         fan = 1 << ix.levels[1]
         for w in range(1, fan + 1):
             a = int(rng.integers(1, n - w + 2))
+            core_paths.clear()
             ix.topk(a, a + w - 1, int(rng.integers(1, sigma + 1)))
-            assert ix.core.last_scanned == w <= bound
+            assert core_paths == [("_scan", ix.core, a, a + w - 1)]
+            assert w <= bound
             assert ix.core.last_visited == 0
 
 
@@ -325,7 +327,7 @@ def rule_cores(rng, n):
             yield arr, SparseTopK(arr, f=f)
 
 
-def test_scan_rule_picks_the_path_at_its_width():
+def test_scan_rule_picks_the_path_at_its_width(core_paths):
     rng = np.random.default_rng(73)
     # the scan reads up to about 66k positions at k = 1024 here
     n = 1 << 17
@@ -336,12 +338,14 @@ def test_scan_rule_picks_the_path_at_its_width():
             for w in (width, width + 1):
                 a = int(rng.integers(1, n - w + 2))
                 b = a + w - 1
+                core_paths.clear()
                 assert ix.topk(a, b, k) == oracle_topk(arr, a, b, k), (w, k)
-                assert ix.core.last_scanned == (w if w == width else 0)
+                path = "_scan" if w == width else "_descend"
+                assert core_paths == [(path, ix.core, a, b)]
 
 
 @pytest.mark.parametrize("sigma", [4, 4096, (1 << 16) + 1])
-def test_scan_matches_oracle_at_both_switches(sigma):
+def test_scan_matches_oracle_at_both_switches(sigma, core_paths):
     rng = np.random.default_rng(sigma)
     n = 1 << 17
     colors = rng.integers(0, sigma, size=n)
@@ -350,19 +354,21 @@ def test_scan_matches_oracle_at_both_switches(sigma):
     arr = ColorArray(colors.astype(np.int32), rng.integers(0, 9, sigma))
     core = SparseTopK(arr, f=2).core
     mask_from = core._mask_from
-    # the mask never pays at sigma = 4, and does within the array past it
+    # the count never pays at sigma = 4, and does within the array past it
     assert (mask_from == n) == (sigma == 4)
 
     def check(a, b, k):
         want = oracle_topk(arr, a, b, k)
+        core_paths.clear()
         assert arr.list_from_ranks(core.topk_ranks(a, b, k)) == want
-        scanned = core.last_scanned
+        [(path, *where)] = core_paths
+        assert where == [core, a, b]
         # both kernels, whichever the rule picked
         for switch in (0, n):
             core._mask_from = switch
             assert arr.list_from_ranks(core._scan(a, b, k)) == want
         core._mask_from = mask_from
-        return scanned
+        return path
 
     for k in (1, 16, 1024):
         width = core.scan_width(k)
@@ -370,11 +376,11 @@ def test_scan_matches_oracle_at_both_switches(sigma):
             a = int(rng.integers(1, n - width - d + 1))
             b = a + width + d
             # b - a < scan_width(k) is scanned, a wider range descends
-            assert check(a, b, k) == (b - a + 1 if d < 0 else 0), (k, d)
+            assert check(a, b, k) == ("_scan" if d < 0 else "_descend"), (k, d)
         if mask_from < n:
             for d in (-1, 0):
                 a = int(rng.integers(1, n - mask_from - d + 1))
-                assert check(a, a + mask_from + d, k) == mask_from + d + 1
+                assert check(a, a + mask_from + d, k) == "_scan"
 
 
 def oracle_thresholded(arr, a, b, k, t):
@@ -386,14 +392,16 @@ def oracle_thresholded(arr, a, b, k, t):
     return [(c, int(arr.priority_of[c])) for c in keep[:k]]
 
 
-@pytest.mark.parametrize("sigma", [4, 300, 4096])
+@pytest.mark.parametrize("sigma", [4, 300, 4096, (1 << 16) + 1])
 def test_thresholded_scan_matches_counts_with_both_kernels(sigma):
     rng = np.random.default_rng(sigma + 1)
-    n = 1 << 15
+    # past sigma = 2^16 the ranks are int32, and every color needs a position
+    n = 1 << 17 if sigma > 1 << 16 else 1 << 15
     colors = rng.integers(0, sigma, size=n)
     colors[rng.choice(n, size=sigma, replace=False)] = np.arange(sigma)
     # few distinct priorities: ties break by color id
     arr = ColorArray(colors.astype(np.int32), rng.integers(0, 9, sigma))
+    assert arr.ranks.itemsize == (4 if sigma > 1 << 16 else 2)
     core = SparseTopK(arr, f=2).core
     mask_from = core._mask_from
     assert (mask_from < n) == (sigma > 64)

@@ -1,31 +1,31 @@
 #!/usr/bin/env python3
 """Sweeps of the query paths of the sparse core, and rule fits.
 
-For every core, range width and K, this times the sort scan, the mask scan
-and the descent of _SparseCore on the same random starts, one call each,
-and keeps each path's median microseconds.  Every answer is checked against
-the others.  A second, kernel-only sweep times the two scans at K = 16 on
-arrays of more alphabet sizes.
+For every core, range width and K, this times the sort scan, the count
+scan (column mask_us: the kernel from _mask_from on, which counts the
+range's ranks in a sigma-long array) and the descent of _SparseCore on the
+same random starts, one call each, and keeps each path's median
+microseconds.  Every answer is checked against the others.  A second,
+kernel-only sweep times the two scans at K = 16 on arrays of more alphabet
+sizes.
 
 Two rules pick the path, and both are fitted here by grid search to the
 least time lost against the cheapest path:
 
-  kernel: the mask scan iff _MASK_POSITION * w + _MASK_COLOR * sigma is
+  kernel: the count scan iff _MASK_POSITION * w + _MASK_COLOR * sigma is
       below w * log2(min(w, sigma)), else the sort scan;
   width: a scan iff b - a < scan_width(k), where scan_width(k) =
       max(2^levels[1], _STEP_WIDTH * steps + _UNIT_WIDTH * units) and
       units = min(sigma, k + 2^leaf fan) leaf needles plus
       min(2^levels[1], 2k + 16) root children when there is a middle level.
 
-Each core's time lost is then reported for the earlier rule (the sort scan
-iff b - a < max(2^levels[1], 1520 * steps + 6.4 * units) with k << leaf fan
-leaf needles) and for the library's current one, read from the core.
+Each core's time lost is then reported under the library's rule ("current"),
+read from the core.
 
 The cores are the benchmark's arrays (N = 2^18 uniform colors, each
 present) at sigma 4 (ChunkedTopK), 4096 (OptimalTopK and SparseTopK(f=3))
 and 2^16 + 1 (OptimalTopK), and the docs workload's main core (sigma
-2001), all from perfbench/workloads.py at --seed.  gather_scan_us times the
-earlier scan kernel, a sort of rank_of[colors[a-1:b]], for reference.
+2001), all from perfbench/workloads.py at --seed.
 
     python3 tools/scan_sweep.py --seed 17 --out sweep.json
 
@@ -78,19 +78,9 @@ def cores(seed: int):
     yield "docs-main", workloads.docs(seed).build().index.core
 
 
-def gather_scan(arr, colors, a, b, k):
-    """The scan before ColorArray stored ranks: gather, then sort."""
-    r = arr.rank_of[colors[a - 1 : b]]
-    r.sort()
-    last = np.empty(len(r), dtype=bool)
-    last[-1] = True
-    np.not_equal(r[1:], r[:-1], out=last[:-1])
-    return r[last][: -k - 1 : -1].tolist()
-
-
-def time_cell(core, colors, rng, w, k, starts, paths=PATHS):
+def time_cell(core, rng, w, k, starts, paths=PATHS):
     """Median microseconds of each path over `starts` random ranges."""
-    n = len(colors)
+    n = core._arr.n
     perf = time.perf_counter
     mask_from = core._mask_from
     times = {p: [] for p in paths}
@@ -102,9 +92,6 @@ def time_cell(core, colors, rng, w, k, starts, paths=PATHS):
             for path in paths:
                 if path == "descent_us":
                     run = core._descend
-                elif path == "gather_scan_us":
-                    def run(a, b, k):
-                        return gather_scan(core._arr, colors, a, b, k)
                 else:
                     core._mask_from = 0 if path == "mask_us" else NEVER
                     run = core._scan
@@ -132,13 +119,6 @@ def units(levels, sigma, k) -> int:
 def width(levels, sigma, k, step, unit) -> int:
     return max(1 << levels[1], int(step * (len(levels) - 1)
                                    + unit * units(levels, sigma, k)))
-
-
-def earlier_width(levels, sigma, k) -> int:
-    u = min(sigma, k << (levels[-1] - levels[-2]))
-    if len(levels) > 2:
-        u += min(1 << levels[1], 2 * k + 16)
-    return max(1 << levels[1], int(1520 * (len(levels) - 1) + 6.4 * u))
 
 
 def best(row) -> float:
@@ -208,21 +188,15 @@ def library_cost(core, row) -> float:
 
 
 def losses(core, rows) -> dict:
-    """Per rule: microseconds spent above the cheapest path, summed over the
-    rows, against the cheapest paths' sum, and the rows it got wrong."""
-    lv, sigma = core.levels, core._arr.sigma
-
-    def earlier(r):
-        return r["sort_us" if r["width"] - 1 < earlier_width(lv, sigma, r["k"])
-                 else "descent_us"]
-
-    out = {"best_us": round(sum(best(r) for r in rows), 1)}
-    for rule, cost in (("earlier", earlier), ("current", lambda r: library_cost(core, r))):
-        lost = [cost(r) - best(r) for r in rows]
-        out[rule] = {"lost_us": round(sum(lost), 1),
-                     "lost_share": round(lost_share(rows, cost), 3),
-                     "cells_wrong": sum(x > 0 for x in lost)}
-    return out
+    """The library's rule: microseconds spent above the cheapest path,
+    summed over the rows, against the cheapest paths' sum, and the rows it
+    got wrong."""
+    best_us = sum(best(r) for r in rows)
+    lost = [library_cost(core, r) - best(r) for r in rows]
+    return {"best_us": round(best_us, 1),
+            "current": {"lost_us": round(sum(lost), 1),
+                        "lost_share": round(sum(lost) / best_us, 3),
+                        "cells_wrong": sum(x > 0 for x in lost)}}
 
 
 def sweep(seed: int, starts: int):
@@ -230,23 +204,21 @@ def sweep(seed: int, starts: int):
     kernels = {}
     for sigma in KERNEL_SIGMAS:
         core = tk.OptimalTopK(array(seed, sigma)).core
-        colors = core._arr.colors
         kernels[sigma] = [
-            {"width": w, **time_cell(core, colors, rng, w, 16, starts,
+            {"width": w, **time_cell(core, rng, w, 16, starts,
                                      ("sort_us", "mask_us"))}
             for w in WIDTHS]
     swept = {}
     for name, core in cores(seed):
         check_library(core)
-        colors = core._arr.colors
         rows = []
         for w in WIDTHS:
             for i, k in enumerate(KS):
                 # no K past the first that reaches sigma
                 if i and KS[i - 1] >= core._arr.sigma:
                     continue
-                rows.append({"width": w, "k": k, **time_cell(
-                    core, colors, rng, w, k, starts, PATHS + ("gather_scan_us",))})
+                rows.append({"width": w, "k": k,
+                             **time_cell(core, rng, w, k, starts)})
         swept[name] = (core, rows)
     return kernels, swept
 
@@ -281,7 +253,6 @@ def main(argv=None) -> int:
             "rank_bits": 8 * core._arr.ranks.itemsize,
             "mask_from": core._mask_from if core._mask_from < n else None,
             "scan_width": {k: core.scan_width(k) for k in KS},
-            "earlier_scan_width": {k: earlier_width(core.levels, sigma, k) for k in KS},
             "loss": losses(core, rows),
             "columns": list(rows[0]),
             "rows": [list(r.values()) for r in rows],
