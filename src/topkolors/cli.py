@@ -68,8 +68,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_build(args) -> int:
-    with open(args.input, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(args.input, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{args.input}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
     cls = KINDS[args.kind]
     if cls is DocumentIndex:
         index = cls(*parse_corpus_text(text))

@@ -33,6 +33,7 @@ range in the given order.
 from __future__ import annotations
 
 import bisect
+import numbers
 import operator
 from heapq import heappop, heappush
 
@@ -98,7 +99,24 @@ def naive_suffix_array(text: bytes) -> list[int]:
 
 
 def _as_bytes(doc) -> bytes:
-    return doc.encode() if isinstance(doc, str) else bytes(doc)
+    """doc as bytes: a str encoded as UTF-8, a bytes-like object, or a
+    sequence of byte values.  Anything else is a BadParameter, an integer
+    above all, which bytes() would read as a length of zero bytes."""
+    if isinstance(doc, bytes):
+        return doc
+    if isinstance(doc, str):
+        try:
+            return doc.encode()
+        except UnicodeEncodeError as exc:
+            raise BadParameter(f"text has no UTF-8 encoding: {exc}") from None
+    if not isinstance(doc, numbers.Integral):
+        try:
+            return bytes(doc)
+        except (TypeError, ValueError):
+            pass
+    raise BadParameter(
+        f"expected str, bytes or byte values, got {type(doc).__name__}"
+    )
 
 
 class DocumentCollection:

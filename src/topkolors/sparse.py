@@ -45,7 +45,9 @@ the root's fan-out and grows with k: at sigma = 4096 and N = 2^18 (levels
 {0, 9, 12}) it is about 23.8k positions at k = 1 and 69k at k = 1024, and
 at sigma = 4 about 11.6k whatever k.  The core keeps a reference to the
 array, not a copy of its ranks, so the rule stores nothing new.
-WaveletTopK does not use it.
+WaveletTopK does not use it.  A range narrower than scan_width(1) is
+scanned at every k, so scanned_ranks hands a ColorStream all of its
+distinct ranks from one scan, and None for any wider range.
 
 Any wider query walks a frontier down the important levels: at most k
 non-empty nodes of one level, highest ranks first, each with its interval.
@@ -277,6 +279,15 @@ class _SparseCore:
                             and w < self.scan_width(k)):
             return self._scan(a, b, k)
         return self._descend(a, b, k)
+
+    def scanned_ranks(self, a: int, b: int) -> np.ndarray | None:
+        """Every distinct rank of [a, b], highest first, from one scan when
+        b - a < _w1: topk_ranks scans such a range at every k, since
+        scan_width(k) >= _w1, so this list's prefixes are its answers.
+        None for any wider range."""
+        if b - a < self._w1:
+            return self.topk_ranks(a, b, self._arr.sigma)
+        return None
 
     def _scan(self, a: int, b: int, k: int, t: int = 1) -> np.ndarray:
         """The top k of the ranks that occur at least t times in [a, b],

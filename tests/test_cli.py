@@ -201,6 +201,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     empty = write(tmp_path, "empty.txt", "")
     assert cli.main(["build", "--kind", "wavelet",
                      "--input", empty, "--output", snap + "y"]) == 2
+    # input that is not UTF-8, of either kind
+    for kind, text in (("optimal", CANON_TEXT), ("docs", CORPUS_TEXT)):
+        latin = tmp_path / f"latin1-{kind}.txt"
+        latin.write_bytes(text.encode() + "\u00e9\n".encode("latin-1"))
+        assert cli.main(["build", "--kind", kind, "--input", str(latin),
+                         "--output", snap + "w"]) == 2
     # missing file
     assert cli.main(["build", "--kind", "wavelet",
                      "--input", str(tmp_path / "nope.txt"),
@@ -218,6 +224,10 @@ def test_cli_exit_codes(tmp_path, capsys):
     # invalid query range
     assert cli.main(["query", "--snapshot", snap,
                      "--range", "5", "2", "1"]) == 3
+    # a pattern with no UTF-8 encoding, as argv decodes the byte 0xff
+    assert cli.main(["query", "--snapshot", dsnap,
+                     "--pattern", "\udcff", "--k", "1"]) == 3
+    assert "internal" not in capsys.readouterr().err
 
 
 def test_cli_verify_catches_seeded_mismatch(tmp_path, capsys, monkeypatch):

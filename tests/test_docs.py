@@ -114,6 +114,16 @@ def test_input_validation():
         ix.ranked_list("a", 0)
     with pytest.raises(BadParameter):
         ix.t_mine("a", 0, 1)
+    # only str, bytes-like objects and byte values are text; an int would
+    # otherwise be read by bytes() as a length
+    for bad in (4, -1, 3.5, None, True, "\udcff", [300], ["a"]):
+        with pytest.raises(BadParameter):
+            ix.ranked_list(bad, 1)
+        with pytest.raises(BadParameter):
+            DocumentCollection([bad])
+    for pattern in ([97], bytearray(b"a"), memoryview(b"bc"),
+                    np.array([99], dtype=np.uint8)):
+        assert ix.ranked_list(pattern, 1) == [(0, 1)]
     for doc in (5, -1, 1.0, "1", None):
         with pytest.raises(BadParameter):
             ix.occurrence_count(doc, "a")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from topkolors.chunked import ChunkedTopK
+from topkolors.docs import merge_ranges_topk
 from topkolors.errors import InvalidRange
 from topkolors.model import new_color_array, oracle_distinct_count, oracle_topk
 from topkolors.online import ColorStream, open_stream
@@ -52,9 +53,11 @@ def test_prefix_matches_fixed_k_queries():
 @pytest.mark.parametrize("make", [WaveletTopK, SparseTopK, OptimalTopK, ChunkedTopK])
 def test_all_index_kinds_agree(make):
     rng = np.random.default_rng(21)
-    arr = random_array(rng, 120, 9)
-    s = open_stream(make(arr), 10, 95)
-    assert list(s) == oracle_topk(arr, 10, 95, 120)
+    # sigma = 1 too: its core has one level and a scan width of 0
+    for sigma in (9, 1):
+        arr = random_array(rng, 120, sigma)
+        s = open_stream(make(arr), 10, 95)
+        assert list(s) == oracle_topk(arr, 10, 95, 120)
 
 
 def test_work_bound_eight_k_plus_sixteen():
@@ -90,3 +93,67 @@ def test_stream_validates_range():
         ColorStream(ix, 5, 2)
     with pytest.raises(InvalidRange):
         ColorStream(ix, 0, 3)
+
+
+# N = 2^15 over 200 colors: every core's scan width at k = 1 is about 23.6k
+# positions, so ranges on both sides of it fit
+WIDE = random_array(np.random.default_rng(24), 1 << 15, 200)
+
+
+def test_scanned_range_is_scanned_once(core_paths):
+    ix = OptimalTopK(WIDE)
+    w1 = ix.core.scan_width(1)
+    for a, b in [(1, w1), (500, 4595), (7, 7)]:
+        core_paths.clear()
+        s = open_stream(ix, a, b)
+        got = [x for _, x in zip(range(64), s)]
+        assert got == oracle_topk(WIDE, a, b, 64)
+        assert core_paths == [("_scan", ix.core, a, b)]
+
+
+def test_range_at_scan_width_descends_per_request(core_paths):
+    ix = OptimalTopK(WIDE)
+    a = 3
+    b = a + ix.core.scan_width(1)
+    assert ix.core.scanned_ranks(a, b) is None
+    s = open_stream(ix, a, b)
+    got = [x for _, x in zip(range(64), s)]
+    assert got == oracle_topk(WIDE, a, b, 64)
+    # one topk per request, k = 1, 3, ..., 127, the first one a descent
+    assert len(core_paths) == 7
+    assert core_paths[0] == ("_descend", ix.core, a, b)
+
+
+@pytest.mark.parametrize("make", [lambda arr: SparseTopK(arr, f=3),
+                                  OptimalTopK, ChunkedTopK])
+def test_prefix_at_every_pull_either_side_of_scan_width(make):
+    ix = make(WIDE)
+    w1 = ix.core.scan_width(1)
+    n = WIDE.n
+    for a, b in [(1, w1), (n - w1, n), (1, n), (2, 400)]:
+        want = list(oracle_topk(WIDE, a, b, WIDE.sigma))
+        s = open_stream(ix, a, b)
+        got = []
+        for pair in s:
+            got.append(pair)
+            assert got == want[: len(got)], (a, b, len(got))
+            assert s.elements_requested <= 8 * len(got) + 16
+        assert len(got) == len(want)
+
+
+def test_merge_over_scanned_ranges(core_paths):
+    ix = OptimalTopK(WIDE)
+    n, w1 = WIDE.n, ix.core.scan_width(1)
+    # four ranges the core scans at every k, and one it descends at k = 1
+    scanned = [(1, 3000), (3001, 3001), (5000, 9000), (9001, n - w1 - 1)]
+    wide = (n - w1, n)
+    ranges = scanned + [wide]
+    entries = [e for a, b in ranges for e in oracle_topk(WIDE, a, b, n)]
+    entries.sort(key=lambda e: (e[1], e[0]), reverse=True)
+    for k in (1, 5, 64, 300, len(entries) + 1):
+        core_paths.clear()
+        assert merge_ranges_topk(ix, ranges, k) == entries[:k], k
+        # each scanned range once, however far its stream was pulled
+        scans = [(a, b) for path, _, a, b in core_paths
+                 if path == "_scan" and (a, b) != wide]
+        assert sorted(scans) == scanned
