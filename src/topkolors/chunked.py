@@ -1,13 +1,13 @@
-"""The `chunked` index kind: SparseTopK with f = 2 under its own name.
+"""The `chunked` index kind: the fitted sparse core under its own name.
 
 The paper reaches O(N log sigma) bits by cutting the array into chunks with
 a per-chunk color summary, and word-packing chunks when sigma is small.
 Measured against the plain f=2 sparse core under it, that machinery was
 slower on every query class and larger per element at every alphabet size
-tried, so ChunkedTopK is now that core alone, kept under its own name so
-the `chunked` kind, its CLI option and its snapshots still work.  It is the
-same structure as OptimalTopK, but a class of its own: snapshots record the
-kind by class.
+tried, so ChunkedTopK is now a sparse core alone, kept under its own name
+so the `chunked` kind, its CLI option and its snapshots still work.  It is
+the same structure as OptimalTopK, on the same fitted_levels, but a class
+of its own: snapshots record the kind by class.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import ColorArray
-from .sparse import SparseTopK
+from .sparse import SparseTopK, fitted_levels
 
 # stays until the benchmark retires its chunked.* tracing hooks
 _WORD_TABLE_CAP = 1 << 14
@@ -47,7 +47,7 @@ class ChunkedTopK(SparseTopK):
     # and _word_table on its instances, until the benchmark retires its
     # chunked.* tracing hooks
     def __init__(self, arr: ColorArray):
-        super().__init__(arr, 2)
+        self._build(arr, fitted_levels(arr.sigma))
         self.last_path = "core"
         self._word_table: dict = {}
 

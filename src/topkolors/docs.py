@@ -123,6 +123,15 @@ class DocumentCollection:
     """Non-empty documents joined with a separator byte after each."""
 
     def __init__(self, docs):
+        # a lone text would otherwise be read as one document per item
+        if isinstance(docs, (str, bytes, bytearray, memoryview)):
+            raise BadParameter("expected a collection of documents, got one "
+                               f"{type(docs).__name__}")
+        try:
+            docs = iter(docs)
+        except TypeError:
+            raise BadParameter("expected a collection of documents, got "
+                               f"{type(docs).__name__}") from None
         self.docs = [_as_bytes(d) for d in docs]
         if not self.docs:
             raise EmptyArray("collection needs at least one document")

@@ -1,9 +1,15 @@
 """Sparsified top-K index: one key array on a few tree levels only.
 
 The balanced rank tree of the baseline is kept conceptually, but level
-arrays exist only at "important" levels: multiples of
-max(1, floor(log2 n) / f) clipped to the tree height, plus the leaf level.
-Each level below the root stores its node offsets and one key per element
+arrays exist only at a few "important" levels, from the root (0) to the
+leaf level h = ceil(log2 sigma).  SparseTopK(f) places them at the
+multiples of max(1, floor(log2 n) / f) below h (stride_levels): a larger f
+means more levels, so more space and narrower frontiers; at sigma = 4096
+and N = 2^18, f = 2 builds {0, 9, 12} in 64.6 bits per element and f = 8
+seven levels in 193.  OptimalTopK and ChunkedTopK take fitted_levels,
+which depends on h alone: {0, h} up to h = 10, else {0, ceil(h / 2), h},
+so {0, 6, 12} at sigma = 4096 in 64.5 bits per element.  Each level below
+the root stores its node offsets and one key per element
 (array E), nothing else; level li + 1's arrays sit at index li of each
 per-level tuple.
 
@@ -15,7 +21,8 @@ of a parent node maps into its child c as the keys in
 [c * M + lo + 1, c * M + hi + 1), and any batch of children, of one node or
 of many, is mapped with one searchsorted over a vector of needles.  Keys
 are int32 when 2^level * M < 2^31 and int64 otherwise; needles share the
-keys' dtype, so numpy never casts the haystack.
+keys' dtype, so numpy never casts the haystack.  The keys are distinct, so
+the build computes them in array order and sorts them.
 
 A query no wider than scan_width(k) is answered from its own ranks: the
 core reads one slice, ranks[a-1:b], of the per-position ranks the
@@ -25,9 +32,9 @@ distinct values kept, in O(w log w).  A wider one is counted in a
 sigma-long array, whose entries of at least t are read from the top, in
 O(w + sigma).  One cost rule on (w, sigma) picks the kernel: the sort
 costs w * log2(min(w, sigma)) comparisons, the count _MASK_POSITION per
-position and _MASK_COLOR per color.  The count takes over from about 1.7k
+position and _MASK_COLOR per color.  The count takes over from about 1.6k
 positions at sigma = 4096 and 16k at sigma = 2^16 + 1, and never at
-sigma <= 64.  topk_ranks with a threshold t >= 2, which
+sigma <= 32.  topk_ranks with a threshold t >= 2, which
 DocumentIndex.t_mine asks for, keeps only the ranks occurring at least t
 times in the range and always scans, whatever the width, since the
 descent cannot count: under the same kernel switch, the sort kernel keeps
@@ -36,14 +43,15 @@ entries of at least t.
 
 scan_width(k) is the descent's estimated cost in scanned positions: a
 fixed cost per level step, plus a cost per unit of its work.  The units
-are the leaf needles, min(sigma, k + 2^leaf fan), since a leaf batch stops
-at the first node whose bound reaches k, and, when there is a middle
-level, the root children its first batches map, min(2^levels[1], 2k + 16).
-All four constants are fitted to a sweep of the three paths' times
-(tools/scan_sweep.py, BENCH_mask_scan.json).  The width never falls below
-the root's fan-out and grows with k: at sigma = 4096 and N = 2^18 (levels
-{0, 9, 12}) it is about 23.8k positions at k = 1 and 69k at k = 1024, and
-at sigma = 4 about 11.6k whatever k.  The core keeps a reference to the
+are the leaf needles, at most min(sigma, k + 2^leaf fan), since a leaf
+batch stops within the first node whose bound reaches k, and, when there
+is a middle level, the root children its first batch maps,
+min(2^levels[1], k + 16).  All four constants are fitted to a sweep of the
+three paths' times over the fitted level sets (tools/scan_sweep.py,
+BENCH_level_set.json).  The width never falls below the root's fan-out and
+grows with k: at sigma = 4096 and N = 2^18 (levels {0, 6, 12}) it is about
+27.3k positions at k = 1 and 70.1k at k = 1024, and at sigma = 4 about
+12.2k whatever k.  The core keeps a reference to the
 array, not a copy of its ranks, so the rule stores nothing new.
 WaveletTopK does not use it.  A range narrower than scan_width(1) is
 scanned at every k, so scanned_ranks hands a ColorStream all of its
@@ -51,10 +59,15 @@ distinct ranks from one scan, and None for any wider range.
 
 Any wider query walks a frontier down the important levels: at most k
 non-empty nodes of one level, highest ranks first, each with its interval.
-The root maps its children in batches from the highest down, each twice as
-large as the one before, until k are non-empty.  A lower frontier maps its
-nodes in batches too, each the shortest prefix of the nodes left whose
-bound sum(min(size, 2^fan)) reaches the number of children still missing.
+The root maps its children in batches from the highest down, the first of
+max(k, 16) and each twice as large as the one before, until k are
+non-empty.  A lower frontier maps its nodes' children in batches too, each
+the shortest prefix of the columns left whose bound sum(min(size, 2^fan))
+reaches the number of children still missing.  The batch takes every
+column of each node but its last, and of a last node holding at least
+4 * 2^fan elements only the top columns still needed, at least 16 and
+twice as many as it mapped of that node before: on a wide uniform range
+nearly all of those are non-empty.
 The non-empty children, kept in order and cut to k, are the next frontier:
 every one of them holds at least one rank, and all its ranks exceed those
 of the next.  A leaf child is one rank, and needs one needle: it is
@@ -64,13 +77,13 @@ level set of any depth.  No level stores its ranks or a counting
 structure; this is the greedy top-k descent of Gagie, Navarro and Puglisi
 (TCS 2012) on a multiary wavelet tree (Ferragina, Manzini, Makinen and
 Navarro, ACM TALG 2007).  last_visited counts the children mapped above
-the leaf level, 0 when the scan ran.  Larger f means fewer levels (less
-space) but wider frontiers.
+the leaf level, 0 when the scan ran.
 
 _SparseCore is built over a ColorArray and answers in rank space (ranks
 dense in [0, sigma)); SparseTopK turns its ranks back into (color, priority)
-pairs.  OptimalTopK and ChunkedTopK are SparseTopK with f = 2 under the
-`optimal` and `chunked` kind names, which snapshots record by class.
+pairs.  OptimalTopK and ChunkedTopK are SparseTopK on fitted_levels under
+the `optimal` and `chunked` kind names, which snapshots record by class;
+they hold no level parameter, so a load builds the fitted levels again.
 """
 
 from __future__ import annotations
@@ -86,18 +99,26 @@ from .util import ceil_log2, floor_log2, nbits
 
 # children mapped by the root's first batch, at least; later batches double
 _FIRST_BATCH = 16
+# elements per block where the build adds positions to keys
+_BLOCK = 1 << 16
+# A lower frontier's last node is cut to the columns still needed only when
+# it holds this many elements per column; then, on uniform ranks, all but
+# about e^-4 of its children are non-empty
+_CUT_DENSITY = 4
+# the greatest tree height fitted_levels leaves without a middle level
+_FLAT_HEIGHT = 10
 # The descent's cost in scanned positions: per level step, and per unit of
 # its work (a leaf needle, or a root child mapped).  Fitted to the sweep of
 # the scans' and the descent's times recorded in BENCH_mask_scan.json.
-_STEP_WIDTH = 11500
-_UNIT_WIDTH = 30
-# the most scan_width grows per unit of k: one leaf needle, two root children
-_K_WIDTH = 3 * _UNIT_WIDTH
+_STEP_WIDTH = 12000
+_UNIT_WIDTH = 40
+# the most scan_width grows per unit of k: one leaf needle, one root child
+_K_WIDTH = 2 * _UNIT_WIDTH
 # The scan's two kernels, costed in sort comparisons: the count's per
 # position and per color of its sigma-long array.  Fitted to the sweep of
 # both kernels recorded in BENCH_mask_scan.json.
-_MASK_POSITION = 6.0
-_MASK_COLOR = 2.0
+_MASK_POSITION = 5.0
+_MASK_COLOR = 2.25
 
 
 def _mask_crossover(sigma: int, n: int) -> int:
@@ -116,56 +137,90 @@ def _mask_crossover(sigma: int, n: int) -> int:
     return lo - 1
 
 
+def stride_levels(n: int, sigma: int, f: int) -> list[int]:
+    """SparseTopK(f)'s level set: the multiples of
+    max(1, floor(log2 n) / f) below the tree height ceil(log2 sigma), at
+    most f + 1 of them, and the height itself."""
+    height = ceil_log2(sigma)
+    stride = max(1, floor_log2(max(n, 1)) // f)
+    # every multiple past the height clips to it, so stop there
+    steps = min(f + 1, -(-height // stride))
+    return sorted({i * stride for i in range(steps)} | {height})
+
+
+def fitted_levels(sigma: int) -> list[int]:
+    """The level set of OptimalTopK and ChunkedTopK, from the tree height
+    h = ceil(log2 sigma) alone: {0, h} while h <= _FLAT_HEIGHT, else
+    {0, ceil(h / 2), h}.  Fitted to the level-set sweep of
+    tools/scan_sweep.py (BENCH_level_set.json): a root of 2^h leaves is the
+    fastest descent there on uniform ranges, but past _FLAT_HEIGHT its
+    batches map thousands of empty leaves on a range that holds only low
+    ranks, and a middle level halfway down bounds both fan-outs."""
+    height = ceil_log2(sigma)
+    if height <= _FLAT_HEIGHT:
+        return sorted({0, height})
+    return [0, -(-height // 2), height]
+
+
 class _SparseCore:
     __slots__ = ("levels", "_arr", "_E", "_off", "_mult", "_w1",
                  "_mask_from", "last_visited")
 
-    def __init__(self, arr: ColorArray, f: int):
-        try:
-            f = operator.index(f)
-        except TypeError:
-            raise BadParameter(
-                f"level sparsification f must be an integer, got {f!r}"
-            ) from None
-        if f < 2:
-            raise BadParameter(f"level sparsification needs f >= 2, got {f}")
+    def __init__(self, arr: ColorArray, levels: list[int]):
+        """The core over arr on `levels`: increasing, from 0 to the tree
+        height ceil(log2 sigma)."""
         # the array, not a copy of its ranks: the scan reads them
         self._arr = arr
         ranks = arr.ranks
         n = len(ranks)
-        height = ceil_log2(arr.sigma)
-        stride = max(1, floor_log2(max(n, 1)) // f)
-        # every multiple past the height clips to it, so stop there
-        steps = min(f + 1, -(-height // stride))
-        self.levels = sorted({i * stride for i in range(steps)} | {height})
+        height = levels[-1]
+        self.levels = list(levels)
         # per level below the root: keys, node offsets and key multiplier
         keys, offs, mults = [], [], []
-        # each element's position in the parent level, None while that is
-        # the root, whose one node is the array in order
-        pos = None
+        # the parent level's elements as array indexes, in its order, and
+        # each element's position there; None while the parent is the
+        # root, whose one node is the array in order
+        perm = pos = None
         off_p = np.array([0, n], dtype=np.int32)
         for li in range(1, len(self.levels)):
             d, dn = self.levels[li - 1], self.levels[li]
-            nodes = ranks >> (height - dn)
-            # numpy radix-sorts 16-bit values, several times faster
-            perm = np.argsort(nodes.astype(np.uint16) if dn <= 16 else nodes,
-                              kind="stable").astype(np.int32)
-            nodes = nodes[perm]
-            off = np.zeros((1 << dn) + 1, dtype=np.int32)
-            np.cumsum(np.bincount(nodes, minlength=1 << dn), out=off[1:])
+            nodes = ranks >> (height - dn) if dn < height else ranks
             m = int(np.diff(off_p).max()) + 1
-            key = nodes.astype(np.int32 if m << dn < 2**31 else np.int64)
-            key *= m
+            key = np.multiply(nodes, m,
+                              dtype=np.int32 if m << dn < 2**31 else np.int64)
             if pos is None:
-                key += perm
+                # plus the position, plus one, a block at a time: an
+                # n-long arange would be a second fresh n-long array
+                step = np.arange(1, _BLOCK + 1, dtype=key.dtype)
+                for lo in range(0, n, _BLOCK):
+                    block = key[lo : lo + _BLOCK]
+                    block += step[: len(block)]
+                    step += _BLOCK
             else:
-                key += pos[perm]
+                key += pos
                 key -= off_p[nodes >> (dn - d)]
-            key += 1
+                key += 1
+            # the keys are distinct and grow with (node, position in the
+            # parent node), so sorting them lays the level out: several
+            # times faster than a stable argsort of the nodes and a gather
+            key.sort()
+            # node c's keys are the ones from c * m on
+            off = key.searchsorted(
+                np.arange((1 << dn) + 1, dtype=key.dtype) * m
+            ).astype(np.int32)
             keys.append(key)
             offs.append(off)
             mults.append(m)
             if dn < height:
+                # each element's position in its parent node, then in the
+                # parent level, then in the array: keys are node * m + p + 1
+                # with p + 1 < m
+                p = key % m
+                p -= 1
+                if perm is not None:
+                    p += off_p[key // m >> (dn - d)]
+                    p = perm[p]
+                perm = p.astype(np.int32, copy=False)
                 pos = np.empty(n, dtype=np.int32)
                 pos[perm] = np.arange(n, dtype=np.int32)
                 off_p = off
@@ -203,9 +258,10 @@ class _SparseCore:
             ids = ids.astype(e.dtype, copy=False)
             cols = np.arange((1 << fan) - 1, -1, -1, dtype=e.dtype)
             bound = np.minimum(w, 1 << fan).cumsum()
-            i = 0
+            # the next node, and how many of its columns are mapped
+            i = done = 0
         else:
-            top, step = 1 << fan, max(2 * k, _FIRST_BATCH)
+            top, step = 1 << fan, max(k, _FIRST_BATCH)
         while found < k:
             if li == 0:
                 # the root, one node: its children in doubling batches
@@ -217,16 +273,25 @@ class _SparseCore:
                 s += int(lo[0]) + 1
                 wid = int(w[0])
             else:
-                # the shortest prefix of nodes i.. whose bound reaches k - found
+                # the shortest prefix of the columns left whose bound
+                # reaches k - found: whole nodes up to the last one, and of
+                # that one, when it holds _CUT_DENSITY elements per column,
+                # only the columns still needed, at least _FIRST_BATCH and
+                # twice those mapped before
                 if i == len(ids):
                     break
-                reach = k - found + (int(bound[i - 1]) if i else 0)
+                reach = k - found + (int(bound[i - 1]) if i else 0) + done
                 j = min(int(bound.searchsorted(reach)) + 1, len(ids))
-                c = ((ids[i:j, None] << fan) + cols).ravel()
+                end = max(reach - (int(bound[j - 2]) if j > 1 else 0),
+                          _FIRST_BATCH, 2 * done if j - 1 == i else 0)
+                if end > 1 << fan or w[j - 1] < _CUT_DENSITY << fan:
+                    end = 1 << fan
+                cut = slice(done, ((j - 1 - i) << fan) + end)
+                c = ((ids[i:j, None] << fan) + cols).ravel()[cut]
                 s = c * m
-                s += np.repeat(lo[i:j] + 1, 1 << fan)
-                wid = np.repeat(w[i:j], 1 << fan)
-                i = j
+                s += np.repeat(lo[i:j] + 1, 1 << fan)[cut]
+                wid = np.repeat(w[i:j], 1 << fan)[cut]
+                i, done = (j - 1, end) if end < 1 << fan else (j, 0)
             if leaf:
                 # one needle per leaf: it is non-empty iff the first key at
                 # or past s lies below s + wid.  Past the last key the index
@@ -261,7 +326,7 @@ class _SparseCore:
             return 0
         units = min(self._arr.sigma, k + (1 << (lv[-1] - lv[-2])))
         if len(lv) > 2:
-            units += min(1 << lv[1], 2 * k + _FIRST_BATCH)
+            units += min(1 << lv[1], k + _FIRST_BATCH)
         return max(1 << lv[1],
                    int(_STEP_WIDTH * (len(lv) - 1) + _UNIT_WIDTH * units))
 
@@ -326,16 +391,26 @@ class _SparseCore:
 
 class SparseTopK:
     """The sparse core over an array, answering in (color, priority) pairs:
-    the one facade every kind but WaveletTopK is built on."""
+    the one facade every kind but WaveletTopK is built on.  SparseTopK(f)
+    places its levels with stride_levels; OptimalTopK and ChunkedTopK with
+    fitted_levels."""
 
     def __init__(self, arr: ColorArray, f: int = 2):
+        try:
+            f = operator.index(f)
+        except TypeError:
+            raise BadParameter(
+                f"level sparsification f must be an integer, got {f!r}"
+            ) from None
+        if f < 2:
+            raise BadParameter(f"level sparsification needs f >= 2, got {f}")
+        self.f = f
+        self._build(arr, stride_levels(arr.n, arr.sigma, f))
+
+    def _build(self, arr: ColorArray, levels: list[int]) -> None:
         self.arr = arr
         self.n = arr.n
-        self.core = _SparseCore(arr, f)
-        self.f = int(f)
-        # at most f + 1 regular important levels, plus the leaf level when
-        # the stride does not divide the tree height
-        assert len(self.core.levels) <= self.f + 2
+        self.core = _SparseCore(arr, levels)
 
     @property
     def levels(self) -> list[int]:

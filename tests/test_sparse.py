@@ -12,8 +12,9 @@ from topkolors.chunked import ChunkedTopK
 from topkolors.errors import BadParameter
 from topkolors.model import ColorArray, oracle_distinct_count
 from topkolors.optimal import OptimalTopK
-from topkolors.sparse import _K_WIDTH, SparseTopK, _SparseCore
-from topkolors.util import nbits
+from topkolors.sparse import (_K_WIDTH, SparseTopK, _SparseCore,
+                               fitted_levels)
+from topkolors.util import ceil_log2, nbits
 
 A = [2, 0, 1, 0, 2, 1, 3, 2]
 P = {0: 4, 1: 2, 2: 7, 3: 5}
@@ -179,7 +180,7 @@ def test_keys_are_int32_when_they_fit():
     colors = rng.integers(0, sigma, size=n)
     colors[:sigma] = np.arange(sigma)
     prio = np.arange(sigma, dtype=np.int64)
-    core = _SparseCore(ColorArray(colors.astype(np.int32), prio), 2)
+    core = SparseTopK(ColorArray(colors.astype(np.int32), prio), 2).core
     assert core.levels == [0, 9, 12]
     assert [e.dtype for e in core._E] == [np.int32, np.int32]
 
@@ -277,7 +278,8 @@ def test_optimal_4k_core_is_keys_and_offsets_only():
     colors[rng.choice(n, size=sigma, replace=False)] = np.arange(sigma)
     prio = rng.permutation(sigma).astype(np.int64)
     ix = OptimalTopK(ColorArray(colors.astype(np.int32), prio))
-    assert ix._global.levels == [0, 9, 12]
+    assert ix._global.levels == [0, 6, 12]
+    assert [e.dtype for e in ix.core._E] == [np.int32, np.int32]
     assert ix.measured_bits() / n <= 65
 
 
@@ -288,7 +290,7 @@ def test_keys_are_int32_at_a_million_elements():
     colors = rng.integers(0, sigma, size=n)
     colors[:sigma] = np.arange(sigma)
     prio = np.arange(sigma, dtype=np.int64)
-    core = _SparseCore(ColorArray(colors.astype(np.int32), prio), 2)
+    core = SparseTopK(ColorArray(colors.astype(np.int32), prio), 2).core
     assert core.levels == [0, 10, 12]
     assert [e.dtype for e in core._E] == [np.int32, np.int32]
 
@@ -440,7 +442,146 @@ def test_scan_rule_adds_no_parameter():
     def names(fn):
         return list(inspect.signature(fn).parameters)
 
-    assert names(_SparseCore.__init__) == ["self", "arr", "f"]
+    assert names(_SparseCore.__init__) == ["self", "arr", "levels"]
     assert names(SparseTopK.__init__) == ["self", "arr", "f"]
     assert names(OptimalTopK.__init__) == ["self", "arr"]
+    assert names(ChunkedTopK.__init__) == ["self", "arr"]
+    assert names(fitted_levels) == ["sigma"]
     assert names(_SparseCore.scan_width) == ["self", "k"]
+
+
+@pytest.mark.parametrize("n, sigma, levels", [
+    # optimal-4k, and sigma 4096 at the other swept sizes
+    (1 << 18, 4096, [0, 6, 12]),
+    (1 << 16, 4096, [0, 6, 12]),
+    (1 << 20, 4096, [0, 6, 12]),
+    # low-sigma, and the docs workload's main core (2001 colors)
+    (1 << 18, 4, [0, 2]),
+    (1 << 18, 2001, [0, 6, 11]),
+    # criterion 8's build: flat up to a tree height of 10
+    (1 << 20, 1 << 10, [0, 10]),
+    (1 << 16, 256, [0, 8]),
+    (1 << 16, 32768, [0, 8, 15]),
+])
+def test_fitted_levels_at_the_benchmark_shapes(n, sigma, levels):
+    rng = np.random.default_rng(97)
+    colors = rng.integers(0, sigma, size=n)
+    colors[rng.choice(n, size=sigma, replace=False)] = np.arange(sigma)
+    arr = ColorArray(colors.astype(np.int32),
+                     rng.permutation(sigma).astype(np.int64))
+    for cls in (OptimalTopK, ChunkedTopK):
+        ix = cls(arr)
+        assert ix.levels == levels
+        # each level below the root: one int32 key per element and one
+        # int32 offset per node, plus one
+        assert all(e.dtype == np.int32 for e in ix.core._E)
+        assert ix.measured_bits() == 32 * sum(n + (1 << d) + 1
+                                              for d in levels[1:])
+    # SparseTopK(f) keeps its stride rule whatever the fit
+    assert SparseTopK(arr, 2).levels[1] == min(n.bit_length() // 2, levels[-1])
+
+
+def test_fitted_levels_stay_flat_at_small_sigma():
+    for sigma, levels in [(1, [0]), (2, [0, 1]), (3, [0, 2]), (4, [0, 2])]:
+        assert fitted_levels(sigma) == levels
+        arr = random_surjective(np.random.default_rng(sigma), 64, sigma)
+        assert OptimalTopK(arr).levels == ChunkedTopK(arr).levels == levels
+
+
+def skewed_array(rng, n, sigma, low):
+    """Each of sigma colors present in the second half; the first half
+    holds only the `low` lowest-priority colors."""
+    prio = rng.permutation(sigma).astype(np.int64)
+    colors = rng.integers(0, sigma, size=n)
+    lows = np.flatnonzero(prio < low)
+    colors[: n // 2] = lows[rng.integers(0, low, size=n // 2)]
+    present = n // 2 + rng.choice(n - n // 2, size=sigma, replace=False)
+    colors[present] = np.arange(sigma)
+    return ColorArray(colors.astype(np.int32), prio)
+
+
+@pytest.mark.parametrize("sigma", [4096, 32768])
+def test_every_core_kind_matches_oracle_on_skewed_ranges(sigma, core_paths):
+    # the skewed half's descents find their few ranks under one root child
+    rng = np.random.default_rng(101)
+    n = 1 << 18
+    arr = skewed_array(rng, n, sigma, 64)
+    for ix, core in root_width_cores(arr):
+        for k in (1, 16, 1024):
+            width = core.scan_width(k)
+            assert width + 1 < n // 2
+            for w in (width, width + 1, n // 2):
+                # inside the skewed half, and across both halves
+                for a in (int(rng.integers(1, n // 2 - w + 2)),
+                          n // 2 - w // 2):
+                    b = a + w - 1
+                    core_paths.clear()
+                    want = oracle_topk(arr, a, b, k)
+                    assert ix.topk(a, b, k) == want, (ix.levels, w, a, k)
+                    path = "_scan" if w == width else "_descend"
+                    assert core_paths == [(path, core, a, b)]
+
+
+@pytest.mark.parametrize("cls", [OptimalTopK, ChunkedTopK])
+def test_leaf_batches_over_nodes_with_few_children(cls):
+    # before the last sigma positions, which hold every color once, each
+    # level-6 node holds many elements per leaf column, but nearly all of
+    # them are its lowest leaf, so a cut batch of a node's top columns finds
+    # too few leaves and the next batch takes more of that node
+    rng = np.random.default_rng(103)
+    n, sigma = 1 << 16, 4096
+    prio = rng.permutation(sigma).astype(np.int64)
+    by_rank = np.argsort(prio)
+    ranks = rng.integers(0, sigma, size=n)
+    ranks &= np.where(rng.random(n) < 0.97, ~63, -1)
+    ranks[n - sigma :] = rng.permutation(sigma)
+    arr = ColorArray(by_rank[ranks].astype(np.int32), prio)
+    ix = cls(arr)
+    assert ix.levels == [0, 6, 12]
+    span = n - sigma
+    for w in (1 << 10, 1 << 15, span):
+        for a in {1, span - w + 1, int(rng.integers(1, span - w + 2))}:
+            b = a + w - 1
+            for k in (1, 3, 16, 17, 100, 1024):
+                want = oracle_topk(arr, a, b, k)
+                got = ix.core._descend(a, b, k)
+                assert arr.list_from_ranks(got) == want, (w, a, k)
+
+
+def reference_keys(ranks, levels):
+    """Each level's keys and node offsets, from a stable argsort of its
+    nodes: the build the core's sort of distinct keys replaces."""
+    n, height = len(ranks), levels[-1]
+    keys, offs, pos, off_p = [], [], None, np.array([0, n])
+    for d, dn in zip(levels, levels[1:]):
+        nodes = ranks.astype(np.int64) >> (height - dn)
+        perm = np.argsort(nodes, kind="stable")
+        nodes = nodes[perm]
+        counts = np.bincount(nodes, minlength=1 << dn)
+        off = np.concatenate([[0], np.cumsum(counts)])
+        m = int(np.diff(off_p).max()) + 1
+        p = perm if pos is None else pos[perm] - off_p[nodes >> (dn - d)]
+        keys.append(nodes * m + p + 1)
+        offs.append(off)
+        pos = np.empty(n, dtype=np.int64)
+        pos[perm] = np.arange(n)
+        off_p = off
+    return keys, offs
+
+
+def test_build_matches_a_stable_argsort_build():
+    rng = np.random.default_rng(107)
+    for n, sigma in [(40, 2), (1000, 7), (5000, 300), (1 << 16, 4096),
+                     (70000, 1 << 12), (1 << 13, 1 << 13)]:
+        arr = random_surjective(rng, n, sigma)
+        h = ceil_log2(sigma)
+        sets = [[0, h], SparseTopK(arr, 3).levels, SparseTopK(arr, 5).levels]
+        sets += [[0, m, h] for m in (h // 3, h // 2) if 0 < m < h]
+        for levels in sets:
+            core = _SparseCore(arr, levels)
+            keys, offs = reference_keys(arr.ranks, levels)
+            assert len(core._E) == len(keys) == len(levels) - 1
+            for e, o, want_e, want_o in zip(core._E, core._off, keys, offs):
+                assert np.array_equal(e, want_e), levels
+                assert np.array_equal(o, want_o), levels
+                assert o.dtype == np.int32
