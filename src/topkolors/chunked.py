@@ -47,7 +47,7 @@ class ChunkedTopK(SparseTopK):
     # and _word_table on its instances, until the benchmark retires its
     # chunked.* tracing hooks
     def __init__(self, arr: ColorArray):
-        self._build(arr, fitted_levels(arr.sigma))
+        self._build(arr, fitted_levels(arr.n, arr.sigma))
         self.last_path = "core"
         self._word_table: dict = {}
 

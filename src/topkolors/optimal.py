@@ -7,8 +7,8 @@ once N >= 2^24, so at every size this package can build the hierarchy is
 empty and every query goes to its global fallback.  OptimalTopK is that
 fallback alone: a _SparseCore over the per-position priority ranks,
 answering in rank space and converting back to (color, priority) pairs at
-the end.  Its levels come from fitted_levels, from the tree height
-h = ceil(log2 sigma) alone: {0, h} up to h = 10, else {0, ceil(h / 2), h}.
+the end.  Its levels come from fitted_levels: SparseTopK(2)'s up to a tree
+height h = ceil(log2 sigma) of 10, else {0, ceil(h / 2), h}.
 The core stores one key array and its node offsets per important level,
 nothing else: 64.5 bits per element at sigma = 4096 and N = 2^18, whose
 levels are {0, 6, 12}.  A range no wider than the core's scan width, the
@@ -34,7 +34,7 @@ from .sparse import SparseTopK, fitted_levels
 
 class OptimalTopK(SparseTopK):
     def __init__(self, arr: ColorArray):
-        self._build(arr, fitted_levels(arr.sigma))
+        self._build(arr, fitted_levels(arr.n, arr.sigma))
         self._global = self.core
 
     topk = SparseTopK.topk

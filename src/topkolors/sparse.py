@@ -6,9 +6,9 @@ leaf level h = ceil(log2 sigma).  SparseTopK(f) places them at the
 multiples of max(1, floor(log2 n) / f) below h (stride_levels): a larger f
 means more levels, so more space and narrower frontiers; at sigma = 4096
 and N = 2^18, f = 2 builds {0, 9, 12} in 64.6 bits per element and f = 8
-seven levels in 193.  OptimalTopK and ChunkedTopK take fitted_levels,
-which depends on h alone: {0, h} up to h = 10, else {0, ceil(h / 2), h},
-so {0, 6, 12} at sigma = 4096 in 64.5 bits per element.  Each level below
+seven levels in 193.  OptimalTopK and ChunkedTopK take fitted_levels:
+the stride rule of f = 2 up to h = 10, else {0, ceil(h / 2), h}, so
+{0, 6, 12} at sigma = 4096 in 64.5 bits per element.  Each level below
 the root stores its node offsets and one key per element
 (array E), nothing else; level li + 1's arrays sit at index li of each
 per-level tuple.
@@ -22,7 +22,7 @@ of a parent node maps into its child c as the keys in
 of many, is mapped with one searchsorted over a vector of needles.  Keys
 are int32 when 2^level * M < 2^31 and int64 otherwise; needles share the
 keys' dtype, so numpy never casts the haystack.  The keys are distinct, so
-the build computes them in array order and sorts them.
+the build computes them in the parent level's order and sorts them.
 
 A query no wider than scan_width(k) is answered from its own ranks: the
 core reads one slice, ranks[a-1:b], of the per-position ranks the
@@ -105,8 +105,8 @@ _BLOCK = 1 << 16
 # it holds this many elements per column; then, on uniform ranks, all but
 # about e^-4 of its children are non-empty
 _CUT_DENSITY = 4
-# the greatest tree height fitted_levels leaves without a middle level
-_FLAT_HEIGHT = 10
+# the greatest tree height at which fitted_levels keeps the stride rule
+_STRIDE_HEIGHT = 10
 # The descent's cost in scanned positions: per level step, and per unit of
 # its work (a leaf needle, or a root child mapped).  Fitted to the sweep of
 # the scans' and the descent's times recorded in BENCH_mask_scan.json.
@@ -148,17 +148,22 @@ def stride_levels(n: int, sigma: int, f: int) -> list[int]:
     return sorted({i * stride for i in range(steps)} | {height})
 
 
-def fitted_levels(sigma: int) -> list[int]:
-    """The level set of OptimalTopK and ChunkedTopK, from the tree height
-    h = ceil(log2 sigma) alone: {0, h} while h <= _FLAT_HEIGHT, else
-    {0, ceil(h / 2), h}.  Fitted to the level-set sweep of
-    tools/scan_sweep.py (BENCH_level_set.json): a root of 2^h leaves is the
-    fastest descent there on uniform ranges, but past _FLAT_HEIGHT its
-    batches map thousands of empty leaves on a range that holds only low
-    ranks, and a middle level halfway down bounds both fan-outs."""
+def fitted_levels(n: int, sigma: int) -> list[int]:
+    """The level set of OptimalTopK and ChunkedTopK.  Up to a tree height
+    h = ceil(log2 sigma) of _STRIDE_HEIGHT it is SparseTopK(2)'s, which is
+    the flat {0, h} once n >= 2^(2h); past it, {0, ceil(h / 2), h}.
+    Fitted to the level-set sweep of tools/scan_sweep.py
+    (BENCH_level_set.json).  From h = 11 on, at N >= 2^18, the middle level
+    halfway down is the cheapest set none of whose cells is slower than the
+    stride rule's: a flat root maps thousands of empty leaves on a range
+    that holds only low ranks.  Up to h = 10 the flat set is cheaper still
+    at every N, but the stride rule's middle level below n = 2^(2h) keeps
+    the build's time doubling with n: flat, a 2^19 build takes about 3 ms,
+    and a cold 2^20 one pays about 1.5 ms more for its fresh key pages
+    alone."""
     height = ceil_log2(sigma)
-    if height <= _FLAT_HEIGHT:
-        return sorted({0, height})
+    if height <= _STRIDE_HEIGHT:
+        return stride_levels(n, sigma, 2)
     return [0, -(-height // 2), height]
 
 
@@ -177,29 +182,35 @@ class _SparseCore:
         self.levels = list(levels)
         # per level below the root: keys, node offsets and key multiplier
         keys, offs, mults = [], [], []
-        # the parent level's elements as array indexes, in its order, and
-        # each element's position there; None while the parent is the
-        # root, whose one node is the array in order
-        perm = pos = None
+        # the parent level's elements as array indexes, in its order; None
+        # while the parent is the root, whose one node is the array in order
+        perm = None
         off_p = np.array([0, n], dtype=np.int32)
         for li in range(1, len(self.levels)):
             d, dn = self.levels[li - 1], self.levels[li]
-            nodes = ranks >> (height - dn) if dn < height else ranks
+            # the keys are laid out in the parent level's order: each
+            # element's node here, times m, plus its position there, plus 1
+            nodes = ranks if perm is None else ranks[perm]
+            if dn < height:
+                nodes = nodes >> (height - dn)
             m = int(np.diff(off_p).max()) + 1
-            key = np.multiply(nodes, m,
-                              dtype=np.int32 if m << dn < 2**31 else np.int64)
-            if pos is None:
-                # plus the position, plus one, a block at a time: an
-                # n-long arange would be a second fresh n-long array
-                step = np.arange(1, _BLOCK + 1, dtype=key.dtype)
-                for lo in range(0, n, _BLOCK):
-                    block = key[lo : lo + _BLOCK]
-                    block += step[: len(block)]
-                    step += _BLOCK
-            else:
-                key += pos
-                key -= off_p[nodes >> (dn - d)]
-                key += 1
+            dtype = np.int32 if m << dn < 2**31 else np.int64
+            # the leaf level reads the permutation only for its nodes, so
+            # its keys may take the permutation's place
+            reuse = dn == height and perm is not None and perm.dtype == dtype
+            key = np.multiply(nodes, m, out=perm if reuse else None,
+                              dtype=dtype)
+            del nodes
+            # a block at a time: an n-long arange would be a second fresh
+            # n-long array
+            step = np.arange(1, _BLOCK + 1, dtype=key.dtype)
+            for lo in range(0, n, _BLOCK):
+                block = key[lo : lo + _BLOCK]
+                block += step[: len(block)]
+                step += _BLOCK
+            if perm is not None:
+                # minus the start of the parent node: the position in it
+                key -= np.repeat(off_p[:-1], np.diff(off_p))
             # the keys are distinct and grow with (node, position in the
             # parent node), so sorting them lays the level out: several
             # times faster than a stable argsort of the nodes and a gather
@@ -221,8 +232,6 @@ class _SparseCore:
                     p += off_p[key // m >> (dn - d)]
                     p = perm[p]
                 perm = p.astype(np.int32, copy=False)
-                pos = np.empty(n, dtype=np.int32)
-                pos[perm] = np.arange(n, dtype=np.int32)
                 off_p = off
         self._E, self._off, self._mult = tuple(keys), tuple(offs), tuple(mults)
         # scan_width(k) lies in [_w1, _w1 + _K_WIDTH * (k - 1)], so
@@ -406,6 +415,7 @@ class SparseTopK:
             raise BadParameter(f"level sparsification needs f >= 2, got {f}")
         self.f = f
         self._build(arr, stride_levels(arr.n, arr.sigma, f))
+        assert len(self.core.levels) <= self.f + 2
 
     def _build(self, arr: ColorArray, levels: list[int]) -> None:
         self.arr = arr

@@ -363,9 +363,8 @@ def test_non_integer_weight_is_bad_parameter():
 
 def test_narrow_patterns_match_naive(core_paths):
     # marker "Q" + two upper-case letters occurs exactly occ times, spread
-    # over random documents of a-d; 300 documents give 301 colors, the
-    # flat level set {0, 9} and a root with 512 children, so every
-    # marker's range, up to the root's fan-out, is the scan's side
+    # over random documents of a-d; 300 documents give 301 colors and a
+    # root with 64 children, so up to 64 occurrences is the scan's side
     rng = np.random.default_rng(35)
     base = random_collection(rng, 300, 24, b"abcd")
     docs = [bytearray(d) for d in base.docs]
@@ -378,8 +377,7 @@ def test_narrow_patterns_match_naive(core_paths):
     weights = {j: int(w) for j, w in enumerate(rng.integers(0, 50, 300))}
     ix = DocumentIndex(coll, weights, t_values=[1, 2])
     core = ix.index._global
-    assert core.levels == [0, 9]
-    fan = 1 << core.levels[1]
+    assert 1 << core.levels[1] == 64
     for occ, p in markers.items():
         a, b = ix.pattern_range(p)
         assert b - a + 1 == occ
@@ -387,7 +385,7 @@ def test_narrow_patterns_match_naive(core_paths):
             core_paths.clear()
             assert ix.ranked_list(p, k) == naive_ranked_list(
                 coll, weights, p, k)
-            if occ <= fan:
+            if occ <= 64:
                 assert core_paths == [("_scan", core, a, b)]
             for t in (1, 2):
                 assert ix.t_mine(p, t, k) == naive_t_mine(

@@ -145,7 +145,7 @@ def test_merge_over_scanned_ranges(core_paths):
     ix = OptimalTopK(WIDE)
     n, w1 = WIDE.n, ix.core.scan_width(1)
     # four ranges the core scans at every k, and one it descends at k = 1
-    scanned = [(1, 3000), (3001, 3001), (5000, 9000), (9001, n - w1 - 1)]
+    scanned = [(1, 3000), (3001, 3001), (5000, 7000), (7001, n - w1 - 1)]
     wide = (n - w1, n)
     ranges = scanned + [wide]
     entries = [e for a, b in ranges for e in oracle_topk(WIDE, a, b, n)]

@@ -31,9 +31,9 @@ def load_sweep():
 def test_sweep_tool_runs_on_a_small_core():
     sweep = load_sweep()
     rng = np.random.default_rng(44)
-    # sigma 2048 gives three levels, k-dependent scan widths and a count
+    # sigma 1024 gives three levels, k-dependent scan widths and a count
     # threshold inside the array; at sigma 32 neither rule varies
-    n, sigma = 4096, 2048
+    n, sigma = 4096, 1024
     colors = rng.integers(0, sigma, n)
     colors[:sigma] = np.arange(sigma)
     core = OptimalTopK(new_color_array(
@@ -63,7 +63,7 @@ def test_level_sweep_runs_on_one_small_shape():
     sets = shape["sets"]
     assert sets["stride"]["levels"] == stride_levels(n, sigma, 2)
     assert sets["flat"]["levels"] == [0, 10]
-    assert sets[shape["fitted"]]["levels"] == fitted_levels(sigma)
+    assert sets[shape["fitted"]]["levels"] == fitted_levels(n, sigma)
     assert shape["pick"] in sets
     names = list(sets)
     assert shape["columns"] == ["width", "k", "scan_us", *names]

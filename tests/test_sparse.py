@@ -13,8 +13,8 @@ from topkolors.errors import BadParameter
 from topkolors.model import ColorArray, oracle_distinct_count
 from topkolors.optimal import OptimalTopK
 from topkolors.sparse import (_K_WIDTH, SparseTopK, _SparseCore,
-                               fitted_levels)
-from topkolors.util import ceil_log2, nbits
+                               fitted_levels, stride_levels)
+from topkolors.util import ceil_log2, floor_log2, nbits
 
 A = [2, 0, 1, 0, 2, 1, 3, 2]
 P = {0: 4, 1: 2, 2: 7, 3: 5}
@@ -54,6 +54,20 @@ def test_huge_f_builds_every_level():
     ix = SparseTopK(new_color_array(A, P), f=10**12)
     assert ix.levels == [0, 1, 2]
     assert ix.topk(2, 6, 2) == [(2, 7), (0, 4)]
+
+
+def test_stride_levels_are_at_most_f_plus_2():
+    # the multiples of max(1, floor(log2 n) / f) below the height, at most
+    # f + 1 of them, and the height itself
+    for n in (1, 2, 1000, 1 << 20):
+        for sigma in (1, 2, 5, 4096, (1 << 16) + 1):
+            height = ceil_log2(sigma)
+            for f in (2, 3, 8, 40):
+                stride = max(1, floor_log2(n) // f)
+                want = sorted({i * stride for i in range(f + 1)
+                               if i * stride < height} | {height})
+                assert stride_levels(n, sigma, f) == want
+                assert len(want) <= f + 2
 
 
 def test_degenerate_single_color():
@@ -446,7 +460,7 @@ def test_scan_rule_adds_no_parameter():
     assert names(SparseTopK.__init__) == ["self", "arr", "f"]
     assert names(OptimalTopK.__init__) == ["self", "arr"]
     assert names(ChunkedTopK.__init__) == ["self", "arr"]
-    assert names(fitted_levels) == ["sigma"]
+    assert names(fitted_levels) == ["n", "sigma"]
     assert names(_SparseCore.scan_width) == ["self", "k"]
 
 
@@ -458,8 +472,9 @@ def test_scan_rule_adds_no_parameter():
     # low-sigma, and the docs workload's main core (2001 colors)
     (1 << 18, 4, [0, 2]),
     (1 << 18, 2001, [0, 6, 11]),
-    # criterion 8's build: flat up to a tree height of 10
+    # criterion 8's builds: the stride rule up to a tree height of 10
     (1 << 20, 1 << 10, [0, 10]),
+    (1 << 19, 1 << 10, [0, 9, 10]),
     (1 << 16, 256, [0, 8]),
     (1 << 16, 32768, [0, 8, 15]),
 ])
@@ -478,12 +493,12 @@ def test_fitted_levels_at_the_benchmark_shapes(n, sigma, levels):
         assert ix.measured_bits() == 32 * sum(n + (1 << d) + 1
                                               for d in levels[1:])
     # SparseTopK(f) keeps its stride rule whatever the fit
-    assert SparseTopK(arr, 2).levels[1] == min(n.bit_length() // 2, levels[-1])
+    assert SparseTopK(arr, 2).levels == stride_levels(n, sigma, 2)
 
 
 def test_fitted_levels_stay_flat_at_small_sigma():
     for sigma, levels in [(1, [0]), (2, [0, 1]), (3, [0, 2]), (4, [0, 2])]:
-        assert fitted_levels(sigma) == levels
+        assert fitted_levels(64, sigma) == levels
         arr = random_surjective(np.random.default_rng(sigma), 64, sigma)
         assert OptimalTopK(arr).levels == ChunkedTopK(arr).levels == levels
 

@@ -34,7 +34,7 @@ cell is the cheaper of its descent and the scan.  Per shape, the pick is
 the level set of least summed cost whose bits per element are no more
 than the stride rule's (plus 1 %) and whose cost on no cell, uniform or
 skewed, exceeds the stride rule's by more than LEVEL_NOISE; the report
-says whether fitted_levels(sigma) is that pick or how much slower it is.
+says whether fitted_levels(n, sigma) is that pick or how much slower it is.
 
 The cores are the benchmark's arrays (N = 2^18 uniform colors, each
 present) at sigma 4 (ChunkedTopK), 4096 (OptimalTopK and SparseTopK(f=3))
@@ -77,7 +77,7 @@ KS = [1, 3, 16, 127, 1024]
 KERNEL_SIGMAS = [4, 64, 256, 1024, 2001, 4096, 16384, 65537]
 PATHS = ("sort_us", "mask_us", "descent_us")
 NEVER = 1 << 62
-LEVEL_SIGMAS = [4, 256, 1024, 4096, 32768]
+LEVEL_SIGMAS = [4, 256, 1024, 2048, 4096, 32768]
 LEVEL_NS = [1 << 16, 1 << 18, 1 << 20]
 LEVEL_KS = [1, 16, 1024]
 # a cell this much slower than the stride rule's is over the guard
@@ -85,7 +85,7 @@ LEVEL_NOISE = 0.10
 # the library's constants as the recorded sweeps fitted them
 # (BENCH_level_set.json); check_library asserts that the library holds them
 FITTED = {"_MASK_POSITION": 5.0, "_MASK_COLOR": 2.25, "_STEP_WIDTH": 12000,
-          "_UNIT_WIDTH": 40, "_FLAT_HEIGHT": 10}
+          "_UNIT_WIDTH": 40, "_STRIDE_HEIGHT": 10}
 
 
 def array(seed: int, sigma: int):
@@ -365,7 +365,7 @@ def level_sweep(seed: int, starts: int, sigmas=LEVEL_SIGMAS,
     for n in ns:
         for sigma in sigmas:
             sets = level_sets(n, sigma)
-            fitted = sparse.fitted_levels(sigma)
+            fitted = sparse.fitted_levels(n, sigma)
             if fitted not in sets.values():
                 sets["fitted"] = fitted
             rows = {}
