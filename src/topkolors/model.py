@@ -52,7 +52,8 @@ class ColorList:
     """A priority-descending list of (color id, priority) pairs.
 
     Entries are unique per color and strictly decreasing under the effective
-    (priority, color id) order.  Compares equal to any sequence of pairs.
+    (priority, color id) order.  Compares equal to any sequence of the
+    same pairs, and unequal to anything that is not a sequence of pairs.
     """
 
     __slots__ = ("entries",)
@@ -92,7 +93,14 @@ class ColorList:
     def __eq__(self, other) -> bool:
         if isinstance(other, ColorList):
             return self.entries == other.entries
-        return self.entries == tuple(tuple(e) for e in other)
+        # anything but a sequence of pairs is not comparable: == is False
+        try:
+            pairs = tuple(tuple(e) for e in other)
+        except TypeError:
+            return NotImplemented
+        if any(len(e) != 2 for e in pairs):
+            return NotImplemented
+        return self.entries == pairs
 
     def __hash__(self):
         return hash(self.entries)

@@ -8,17 +8,20 @@ empty and every query goes to its global fallback.  OptimalTopK is that
 fallback alone: a _SparseCore over the per-position priority ranks,
 answering in rank space and converting back to (color, priority) pairs at
 the end.  Its levels come from fitted_levels: SparseTopK(2)'s up to a tree
-height h = ceil(log2 sigma) of 10, else {0, ceil(h / 2), h}.
+height h = ceil(log2 sigma) of 10; past it the flat {0, h} while its keys
+fit int32, else {0, ceil(h / 2), h}.
 The core stores one key array and its node offsets per important level,
-nothing else: 64.5 bits per element at sigma = 4096 and N = 2^18, whose
-levels are {0, 6, 12}.  A range no wider than the core's scan width, the
-descent's measured cost in scanned positions (about 27.3k positions at
-k = 1 and 70.1k at k = 1024 there), is answered from its own ranks, one
-slice of the uint16 ranks the ColorArray already holds, so that rule
-stores nothing new: sorted below about 1.6k positions, and counted in a
-sigma-long array read from the top above.  A wider range walks a frontier
-of at most k nodes down the levels, and tests each leaf under it with one
-searchsorted needle; the leaves found are the answer, in rank order.
+and a flat core past h = 10 a rank-group presence summary: 33.5 bits per
+element at sigma = 4096 and N = 2^18, whose levels are {0, 12}.  A range
+no wider than the core's scan width, the descent's measured cost in
+scanned positions (7765 positions at k = 1 and 53.8k at k = 1024 there),
+is answered from its own ranks, one slice of the uint16 ranks the
+ColorArray already holds, so that rule stores nothing new: sorted below
+about 1.6k positions, and counted in a sigma-long array read from the top
+above.  A wider range maps the root's top leaves with one searchsorted
+needle each, and, once a batch comes back less than half full, only the
+leaves of the rank groups the summary finds in the range; the leaves found
+are the answer, in rank order.
 
 The class adds nothing to SparseTopK but its level set.  It stays a class
 of its own because snapshots record the kind by class, and the benchmark's

@@ -7,11 +7,13 @@ multiples of max(1, floor(log2 n) / f) below h (stride_levels): a larger f
 means more levels, so more space and narrower frontiers; at sigma = 4096
 and N = 2^18, f = 2 builds {0, 9, 12} in 64.6 bits per element and f = 8
 seven levels in 193.  OptimalTopK and ChunkedTopK take fitted_levels:
-the stride rule of f = 2 up to h = 10, else {0, ceil(h / 2), h}, so
-{0, 6, 12} at sigma = 4096 in 64.5 bits per element.  Each level below
-the root stores its node offsets and one key per element
-(array E), nothing else; level li + 1's arrays sit at index li of each
-per-level tuple.
+the stride rule of f = 2 up to h = 10; past it the flat {0, h} while its
+keys fit int32, (N + 1) * 2^h < 2^31, else {0, ceil(h / 2), h}.  So
+sigma = 4096 and N = 2^18 build {0, 12} in 33.5 bits per element, and
+N = 2^20 keeps {0, 6, 12}.  Each level below the root stores its node
+offsets and one key per element (array E); level li + 1's arrays sit at
+index li of each per-level tuple.  A flat core past h = 10 also keeps a
+rank-group presence summary (below), nothing else.
 
 E lists the level's elements grouped by node, and holds for each the key
 `node * M + p`: node is the element's global node id on that level, p its
@@ -42,16 +44,17 @@ only runs of equal ranks at least t long, and the count keeps only
 entries of at least t.
 
 scan_width(k) is the descent's estimated cost in scanned positions: a
-fixed cost per level step, plus a cost per unit of its work.  The units
-are the leaf needles, at most min(sigma, k + 2^leaf fan), since a leaf
-batch stops within the first node whose bound reaches k, and, when there
-is a middle level, the root children its first batch maps,
-min(2^levels[1], k + 16).  All four constants are fitted to a sweep of the
-three paths' times over the fitted level sets (tools/scan_sweep.py,
-BENCH_level_set.json).  The width never falls below the root's fan-out and
-grows with k: at sigma = 4096 and N = 2^18 (levels {0, 6, 12}) it is about
-27.3k positions at k = 1 and 70.1k at k = 1024, and at sigma = 4 about
-12.2k whatever k.  The core keeps a reference to the
+fixed cost per level step, plus a cost per unit of its work.  Under a
+middle level the units are the leaf needles, at most
+min(sigma, k + 2^leaf fan), since a leaf batch stops within the first node
+whose bound reaches k, plus the root children its first batch maps,
+min(2^levels[1], k + 16).  A flat root maps about one leaf per answer
+past its first batch: min(sigma, k + 16) units.  All four constants are
+fitted to a sweep of the three paths' times (tools/scan_sweep.py,
+BENCH_root_summary.json).  The width never falls below the root's fan-out
+and grows with k: at sigma = 4096 and N = 2^18 (levels {0, 12}) it is
+7765 positions at k = 1 and 53.8k at k = 1024, and at sigma = 4 7180
+whatever k.  The core keeps a reference to the
 array, not a copy of its ranks, so the rule stores nothing new.
 WaveletTopK does not use it.  A range narrower than scan_width(1) is
 scanned at every k, so scanned_ranks hands a ColorStream all of its
@@ -61,7 +64,21 @@ Any wider query walks a frontier down the important levels: at most k
 non-empty nodes of one level, highest ranks first, each with its interval.
 The root maps its children in batches from the highest down, the first of
 max(k, 16) and each twice as large as the one before, until k are
-non-empty.  A lower frontier maps its nodes' children in batches too, each
+non-empty.  A flat root maps its leaves from sigma - 1 down instead, in a
+first batch of max(k, 16) capped at 64, each next batch sized to the
+leaves still missing over the last batch's share of hits.  Past h = 10,
+once a batch comes back less than half full, it reads the summary: for
+every block of 512 positions, one bit per group of 8 consecutive ranks
+that occurs there, 64 groups to a uint64 word, stored word-major so that
+the OR over a range's whole blocks reads contiguous runs; the ranks of the
+two partial end blocks are read from the array.  The rest of the batches
+then take only the leaves of the groups present, highest first.  At
+sigma = 4096 that is 1 bit per element, and a range that holds only low
+ranks no longer maps thousands of empty leaves.  The summary is built from
+the ranks with the keys, so a snapshot never stores it.  Block, group and
+cap are fitted by the root sweep of tools/scan_sweep.py --levels, on
+uniform, skewed and scattered arrays.
+A lower frontier maps its nodes' children in batches too, each
 the shortest prefix of the columns left whose bound sum(min(size, 2^fan))
 reaches the number of children still missing.  The batch takes every
 column of each node but its last, and of a last node holding at least
@@ -107,11 +124,19 @@ _BLOCK = 1 << 16
 _CUT_DENSITY = 4
 # the greatest tree height at which fitted_levels keeps the stride rule
 _STRIDE_HEIGHT = 10
+# A flat core past _STRIDE_HEIGHT keeps, for every block of _SUMMARY_BLOCK
+# positions, one bit per group of _SUMMARY_GROUP consecutive ranks that
+# occurs in it; its root reads them once its first batch comes back short.
+# Both are powers of two.
+_SUMMARY_BLOCK = 512
+_SUMMARY_GROUP = 8
+# the most leaves the flat root's first batch maps
+_FLAT_BATCH = 64
 # The descent's cost in scanned positions: per level step, and per unit of
 # its work (a leaf needle, or a root child mapped).  Fitted to the sweep of
-# the scans' and the descent's times recorded in BENCH_mask_scan.json.
-_STEP_WIDTH = 12000
-_UNIT_WIDTH = 40
+# the scans' and the descent's times recorded in BENCH_root_summary.json.
+_STEP_WIDTH = 7000
+_UNIT_WIDTH = 45
 # the most scan_width grows per unit of k: one leaf needle, one root child
 _K_WIDTH = 2 * _UNIT_WIDTH
 # The scan's two kernels, costed in sort comparisons: the count's per
@@ -137,6 +162,40 @@ def _mask_crossover(sigma: int, n: int) -> int:
     return lo - 1
 
 
+def _summary(ranks: np.ndarray, sigma: int) -> np.ndarray:
+    """The rank-group presence summary of ranks: column i has bit g set iff
+    a rank of group g, from g * _SUMMARY_GROUP up to the next group's,
+    occurs in positions [i * _SUMMARY_BLOCK, (i + 1) * _SUMMARY_BLOCK); 64
+    groups to a uint64 word."""
+    n = len(ranks)
+    blocks = -(-n // _SUMMARY_BLOCK)
+    width = 64 * -(-sigma // (64 * _SUMMARY_GROUP))
+    flags = np.zeros(blocks * width, dtype=bool)
+    # 16 blocks at a time, so that no temporary is large: each position
+    # marks its group in its block's row of flags
+    step = 16 * _SUMMARY_BLOCK
+    row = np.arange(step, dtype=np.int32) // _SUMMARY_BLOCK * width
+    for lo in range(0, n, step):
+        at = ranks[lo : lo + step] // _SUMMARY_GROUP + row[: min(step, n - lo)]
+        at += lo // _SUMMARY_BLOCK * width
+        flags[at] = True
+    # one row per word, so that the OR over a range's blocks reads each
+    # row's contiguous run
+    packed = np.packbits(flags.reshape(blocks, width), axis=1, bitorder="little")
+    return np.ascontiguousarray(packed.view(np.uint64).T)
+
+
+def _hits(e: np.ndarray, c: np.ndarray, s: np.ndarray, wid) -> np.ndarray:
+    """The leaves of c that are non-empty: leaf c[i]'s keys in
+    [s[i], s[i] + wid) exist iff the first key at or past s[i] lies below
+    s[i] + wid.  Past the last key the index is clipped to it, and that key
+    lies below s, so both ends are checked; leaf ids >= sigma hold no keys
+    at all."""
+    key = e.take(e.searchsorted(s), mode="clip")
+    key -= s
+    return c[(key >= 0) & (key < wid)]
+
+
 def stride_levels(n: int, sigma: int, f: int) -> list[int]:
     """SparseTopK(f)'s level set: the multiples of
     max(1, floor(log2 n) / f) below the tree height ceil(log2 sigma), at
@@ -151,24 +210,27 @@ def stride_levels(n: int, sigma: int, f: int) -> list[int]:
 def fitted_levels(n: int, sigma: int) -> list[int]:
     """The level set of OptimalTopK and ChunkedTopK.  Up to a tree height
     h = ceil(log2 sigma) of _STRIDE_HEIGHT it is SparseTopK(2)'s, which is
-    the flat {0, h} once n >= 2^(2h); past it, {0, ceil(h / 2), h}.
-    Fitted to the level-set sweep of tools/scan_sweep.py
-    (BENCH_level_set.json).  From h = 11 on, at N >= 2^18, the middle level
-    halfway down is the cheapest set none of whose cells is slower than the
-    stride rule's: a flat root maps thousands of empty leaves on a range
-    that holds only low ranks.  Up to h = 10 the flat set is cheaper still
-    at every N, but the stride rule's middle level below n = 2^(2h) keeps
-    the build's time doubling with n: flat, a 2^19 build takes about 3 ms,
-    and a cold 2^20 one pays about 1.5 ms more for its fresh key pages
-    alone."""
+    the flat {0, h} once n >= 2^(2h).  Past it, the flat {0, h} while its
+    keys fit int32, else {0, ceil(h / 2), h}.  Fitted to the level-set
+    sweep of tools/scan_sweep.py (BENCH_root_summary.json).  From h = 11 on,
+    the flat set with its rank-group summary is the cheapest set none of
+    whose cells is slower than the stride rule's, in half its bits; with
+    int64 keys it would hold more bits than the stride rule's set, so the
+    middle level halfway down stays.  Up to h = 10 the flat set is cheaper
+    still at every N, but the stride rule's middle level below n = 2^(2h)
+    keeps the build's time doubling with n: flat, a 2^19 build takes about
+    3 ms, and a cold 2^20 one pays about 1.5 ms more for its fresh key
+    pages alone."""
     height = ceil_log2(sigma)
     if height <= _STRIDE_HEIGHT:
         return stride_levels(n, sigma, 2)
+    if (n + 1) << height < 2**31:
+        return [0, height]
     return [0, -(-height // 2), height]
 
 
 class _SparseCore:
-    __slots__ = ("levels", "_arr", "_E", "_off", "_mult", "_w1",
+    __slots__ = ("levels", "_arr", "_E", "_off", "_mult", "_summary", "_w1",
                  "_mask_from", "last_visited")
 
     def __init__(self, arr: ColorArray, levels: list[int]):
@@ -234,6 +296,8 @@ class _SparseCore:
                 perm = p.astype(np.int32, copy=False)
                 off_p = off
         self._E, self._off, self._mult = tuple(keys), tuple(offs), tuple(mults)
+        self._summary = (_summary(ranks, arr.sigma)
+                         if len(levels) == 2 and height > _STRIDE_HEIGHT else None)
         # scan_width(k) lies in [_w1, _w1 + _K_WIDTH * (k - 1)], so
         # topk_ranks computes it only for a range between the two
         self._w1 = self.scan_width(1)
@@ -302,13 +366,8 @@ class _SparseCore:
                 wid = np.repeat(w[i:j], 1 << fan)[cut]
                 i, done = (j - 1, end) if end < 1 << fan else (j, 0)
             if leaf:
-                # one needle per leaf: it is non-empty iff the first key at
-                # or past s lies below s + wid.  Past the last key the index
-                # is clipped to it, and that key lies below s, so both ends
-                # are checked; leaf ids >= sigma hold no keys at all
-                key = e.take(e.searchsorted(s), mode="clip")
-                key -= s
-                got = c[(key >= 0) & (key < wid)]
+                # one needle per leaf
+                got = _hits(e, c, s, wid)
                 out.append(got)
             else:
                 self.last_visited += len(c)
@@ -327,15 +386,18 @@ class _SparseCore:
         """Widest range whose top k the scan answers: the descent's
         estimated cost in scanned positions, never below the root's
         fan-out.  The descent pays per level step, per leaf needle and per
-        root child its first batches map.  Its leaf batches stop at the
-        first node whose bound sum(min(size, 2^fan)) reaches k, so they
-        map about k + 2^fan needles."""
+        root child its first batches map.  Below a middle level, its leaf
+        batches stop at the first node whose bound sum(min(size, 2^fan))
+        reaches k, so they map about k + 2^fan needles; a flat root maps
+        about k + _FIRST_BATCH."""
         lv = self.levels
         if len(lv) == 1:
             return 0
-        units = min(self._arr.sigma, k + (1 << (lv[-1] - lv[-2])))
-        if len(lv) > 2:
-            units += min(1 << lv[1], k + _FIRST_BATCH)
+        if len(lv) == 2:
+            units = min(self._arr.sigma, k + _FIRST_BATCH)
+        else:
+            units = (min(self._arr.sigma, k + (1 << (lv[-1] - lv[-2])))
+                     + min(1 << lv[1], k + _FIRST_BATCH))
         return max(1 << lv[1],
                    int(_STEP_WIDTH * (len(lv) - 1) + _UNIT_WIDTH * units))
 
@@ -388,14 +450,72 @@ class _SparseCore:
     def _descend(self, a: int, b: int, k: int) -> np.ndarray:
         """The top k of [a, b] by walking a frontier down the levels."""
         self.last_visited = 0
+        if len(self.levels) == 2:
+            return self._flat_root(a, b, k)
         frontier = (np.zeros(1, dtype=np.int64), np.array([a - 1]),
                     np.array([b - a + 1]))
         for li in range(len(self.levels) - 1):
             frontier = self._step(li, *frontier, k)
         return frontier
 
+    def _flat_root(self, a: int, b: int, k: int) -> np.ndarray:
+        """The top k of [a, b] on a flat core.  The root maps its leaves
+        from sigma - 1 down in batches, the first of max(k, _FIRST_BATCH)
+        but at most _FLAT_BATCH, each next one of the leaves still missing
+        over the last batch's share of non-empty leaves, plus _FIRST_BATCH.
+        With a summary, once a batch comes back less than half full, the
+        rest are only the leaves of the rank groups that occur in [a, b],
+        highest first."""
+        e, m = self._E[0], self._mult[0]
+        w = b - a + 1
+        top = self._arr.sigma
+        step = min(max(k, _FIRST_BATCH), _FLAT_BATCH)
+        out, found, groups = [], 0, None
+        while found < k:
+            if groups is None:
+                if top == 0:
+                    break
+                c = np.arange(top - 1, max(top - step, 0) - 1, -1, dtype=e.dtype)
+                top = max(top - step, 0)
+            else:
+                # whole groups, as many as the batch needs
+                if j == len(groups):
+                    break
+                g = groups[j : j + -(-step // _SUMMARY_GROUP)]
+                j += len(g)
+                c = (g[:, None] * _SUMMARY_GROUP
+                     + np.arange(_SUMMARY_GROUP - 1, -1, -1)).ravel()
+                c = c[c < top].astype(e.dtype)
+            got = _hits(e, c, c * m + a, w)
+            out.append(got)
+            found += len(got)
+            if (groups is None and 2 * len(got) < len(c) and top
+                    and self._summary is not None):
+                groups, j = self._present(a, b, top), 0
+            # the leaves still missing over the last batch's share of hits
+            step = (k - found) * len(c) // max(len(got), 1) + _FIRST_BATCH
+        return out[0][:k] if len(out) == 1 else np.concatenate(out)[:k]
+
+    def _present(self, a: int, b: int, top: int) -> np.ndarray:
+        """The rank groups that occur in [a, b] and hold a leaf below top,
+        highest first: the summary columns of the range's whole blocks
+        ORed, and the ranks of the partial blocks at its ends read from the
+        array."""
+        lo = -(-(a - 1) // _SUMMARY_BLOCK)
+        hi = b // _SUMMARY_BLOCK
+        word = np.bitwise_or.reduce(self._summary[:, lo:hi], axis=1)
+        flags = np.unpackbits(word.view(np.uint8), bitorder="little")
+        ranks = self._arr.ranks
+        if lo < hi:
+            edges = np.concatenate((ranks[a - 1 : lo * _SUMMARY_BLOCK],
+                                    ranks[hi * _SUMMARY_BLOCK : b]))
+        else:
+            edges = ranks[a - 1 : b]
+        flags[edges // _SUMMARY_GROUP] = 1
+        return np.flatnonzero(flags[: -(-top // _SUMMARY_GROUP)])[::-1]
+
     def measured_bits(self) -> int:
-        return nbits(*self._E, *self._off)
+        return nbits(*self._E, *self._off, self._summary)
 
 
 class SparseTopK:

@@ -15,7 +15,7 @@ from topkolors import (
     oracle_topk,
     prank,
 )
-from topkolors.model import ColorArray
+from topkolors.model import ColorArray, ColorList
 from topkolors.snapshot import KINDS
 
 A = [2, 0, 1, 0, 2, 1, 3, 2]
@@ -181,3 +181,18 @@ def test_list_from_ranks_gives_python_ints():
     assert got == [(2, 7), (0, 4)]
     assert all(type(v) is int for entry in got for v in entry)
     assert arr.list_from_ranks([]) == []
+
+
+def test_color_list_equals_only_sequences_of_pairs():
+    got = ColorList([(1, 2), (0, 1)])
+    assert got == [(1, 2), (0, 1)]
+    assert got == ((1, 2), [0, 1])
+    assert got == ColorList([(1, 2), (0, 1)])
+    assert got != [(1, 2)]
+    # not a sequence of pairs: unequal, never a TypeError
+    for other in (5, None, [1], [1, 2], "ab", [(1, 2, 3), (0, 1, 2)], object()):
+        assert not got == other
+        assert got != other
+        assert not other == got
+    assert ColorList([]) == []
+    assert ColorList([]) != None  # noqa: E711

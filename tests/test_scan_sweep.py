@@ -1,12 +1,12 @@
 """tools/scan_sweep.py reads library privates: the core's _arr,
-_mask_from, _scan and _descend, and sparse's four rule constants.
+_mask_from, _summary, _scan and _descend, and sparse's fitted constants.
 
 A rename or a changed rule there breaks the tool; this test catches that
 at test time.  The tool is loaded from its file, unchanged, and run on
 one small core: check_library checks that the library's rules are the
 ones the tool fits, time_cell that every path gives the same answer, and
 losses prices the library's rule on the timed cell.  The level-set sweep
-runs on one small shape.
+and the flat root's sweep run on one small shape each.
 """
 
 import importlib.util
@@ -16,6 +16,7 @@ import numpy as np
 
 from topkolors import new_color_array
 from topkolors.optimal import OptimalTopK
+from topkolors import sparse
 from topkolors.sparse import fitted_levels, stride_levels
 
 SWEEP = Path(__file__).resolve().parent.parent / "tools" / "scan_sweep.py"
@@ -76,3 +77,33 @@ def test_level_sweep_runs_on_one_small_shape():
             assert sets[name][f"{key}_worst_ratio"] > 0
     for name in names:
         assert sets[name]["bits"] > 0
+
+
+def test_root_sweep_runs_on_one_small_shape():
+    sweep = load_sweep()
+    n, sigma = 1 << 13, 2048
+    saved = {name: getattr(sparse, name) for name in sweep.FITTED}
+    # raises AssertionError if a flat core's root disagrees with the scan
+    root = sweep.root_sweep(46, 2, shapes=[(n, sigma)], blocks=[256, 512],
+                            groups=[8], batches=[16, 64])
+    assert {name: getattr(sparse, name) for name in sweep.FITTED} == saved
+    names = {f"b{b}-g8-c{c}" for b in (256, 512) for c in (16, 64)}
+    assert set(root["candidates"]) == names
+    assert root["library"] == "b512-g8-c64"
+    assert root["pick"] in names
+    [(name, shape)] = root["shapes"].items()
+    assert name == "n13-s2048"
+    assert shape["columns"][:3] == ["width", "k", "mid"]
+    assert set(shape["columns"][3:]) == names
+    assert set(shape["summary_bits"]) == {"b256-g8", "b512-g8"}
+    for key in sweep.ROOT_INPUTS:
+        assert len(shape[key]) == 3 * len(sweep.LEVEL_KS)
+    # the flat set with its summary in the level sweep: its bits count it
+    levels = sweep.level_sweep(47, 2, sigmas=[sigma], ns=[n])
+    flat = levels["n13-s2048"]["sets"]["flat"]
+    core = sparse._SparseCore(sweep.uniform_array(np.random.default_rng(0), n, sigma),
+                              [0, 11])
+    sweep.check_library(core)
+    assert flat["levels"] == [0, 11] == fitted_levels(n, sigma)
+    assert flat["bits"] == round(core.measured_bits() / n, 2)
+    assert core._summary is not None

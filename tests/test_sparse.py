@@ -12,8 +12,10 @@ from topkolors.chunked import ChunkedTopK
 from topkolors.errors import BadParameter
 from topkolors.model import ColorArray, oracle_distinct_count
 from topkolors.optimal import OptimalTopK
-from topkolors.sparse import (_K_WIDTH, SparseTopK, _SparseCore,
-                               fitted_levels, stride_levels)
+from topkolors.sparse import (_FIRST_BATCH, _FLAT_BATCH, _K_WIDTH,
+                               _SUMMARY_BLOCK, _SUMMARY_GROUP,
+                               SparseTopK, _SparseCore, fitted_levels,
+                               stride_levels)
 from topkolors.util import ceil_log2, floor_log2, nbits
 
 A = [2, 0, 1, 0, 2, 1, 3, 2]
@@ -285,15 +287,18 @@ def test_measured_bits_are_the_core_arrays_only():
 
 
 def test_optimal_4k_core_is_keys_and_offsets_only():
-    # the workload shape N = 2^18, sigma = 4096: two int32 key arrays
+    # the workload shape N = 2^18, sigma = 4096: one int32 key array, its
+    # offsets and the rank-group summary
     rng = np.random.default_rng(47)
     n, sigma = 1 << 18, 4096
     colors = rng.integers(0, sigma, size=n)
     colors[rng.choice(n, size=sigma, replace=False)] = np.arange(sigma)
     prio = rng.permutation(sigma).astype(np.int64)
     ix = OptimalTopK(ColorArray(colors.astype(np.int32), prio))
-    assert ix._global.levels == [0, 6, 12]
-    assert [e.dtype for e in ix.core._E] == [np.int32, np.int32]
+    assert ix._global.levels == [0, 12]
+    assert [e.dtype for e in ix.core._E] == [np.int32]
+    assert ix.measured_bits() == nbits(*ix.core._E, *ix.core._off,
+                                       ix.core._summary)
     assert ix.measured_bits() / n <= 65
 
 
@@ -465,13 +470,14 @@ def test_scan_rule_adds_no_parameter():
 
 
 @pytest.mark.parametrize("n, sigma, levels", [
-    # optimal-4k, and sigma 4096 at the other swept sizes
-    (1 << 18, 4096, [0, 6, 12]),
-    (1 << 16, 4096, [0, 6, 12]),
+    # optimal-4k, and sigma 4096 at the other swept sizes: flat while its
+    # keys fit int32
+    (1 << 18, 4096, [0, 12]),
+    (1 << 16, 4096, [0, 12]),
     (1 << 20, 4096, [0, 6, 12]),
     # low-sigma, and the docs workload's main core (2001 colors)
     (1 << 18, 4, [0, 2]),
-    (1 << 18, 2001, [0, 6, 11]),
+    (1 << 18, 2001, [0, 11]),
     # criterion 8's builds: the stride rule up to a tree height of 10
     (1 << 20, 1 << 10, [0, 10]),
     (1 << 19, 1 << 10, [0, 9, 10]),
@@ -488,10 +494,15 @@ def test_fitted_levels_at_the_benchmark_shapes(n, sigma, levels):
         ix = cls(arr)
         assert ix.levels == levels
         # each level below the root: one int32 key per element and one
-        # int32 offset per node, plus one
+        # int32 offset per node, plus one; a flat set past h = 10 adds its
+        # summary, one uint64 per 64 rank groups per block
         assert all(e.dtype == np.int32 for e in ix.core._E)
-        assert ix.measured_bits() == 32 * sum(n + (1 << d) + 1
-                                              for d in levels[1:])
+        summary = 0
+        if len(levels) == 2 and levels[1] > 10:
+            groups = -(-sigma // _SUMMARY_GROUP)
+            summary = 64 * -(-groups // 64) * -(-n // _SUMMARY_BLOCK)
+        assert ix.measured_bits() == summary + 32 * sum(n + (1 << d) + 1
+                                                        for d in levels[1:])
     # SparseTopK(f) keeps its stride rule whatever the fit
     assert SparseTopK(arr, 2).levels == stride_levels(n, sigma, 2)
 
@@ -552,15 +563,18 @@ def test_leaf_batches_over_nodes_with_few_children(cls):
     ranks[n - sigma :] = rng.permutation(sigma)
     arr = ColorArray(by_rank[ranks].astype(np.int32), prio)
     ix = cls(arr)
-    assert ix.levels == [0, 6, 12]
+    # the fitted set is flat here, and its summary finds the few rank
+    # groups present; {0, 6, 12} cuts the batches over level-6 nodes
+    assert ix.levels == [0, 12]
     span = n - sigma
-    for w in (1 << 10, 1 << 15, span):
-        for a in {1, span - w + 1, int(rng.integers(1, span - w + 2))}:
-            b = a + w - 1
-            for k in (1, 3, 16, 17, 100, 1024):
-                want = oracle_topk(arr, a, b, k)
-                got = ix.core._descend(a, b, k)
-                assert arr.list_from_ranks(got) == want, (w, a, k)
+    for core in (ix.core, _SparseCore(arr, [0, 6, 12])):
+        for w in (1 << 10, 1 << 15, span):
+            for a in {1, span - w + 1, int(rng.integers(1, span - w + 2))}:
+                b = a + w - 1
+                for k in (1, 3, 16, 17, 100, 1024):
+                    want = oracle_topk(arr, a, b, k)
+                    got = core._descend(a, b, k)
+                    assert arr.list_from_ranks(got) == want, (core.levels, w, a, k)
 
 
 def reference_keys(ranks, levels):
@@ -600,3 +614,124 @@ def test_build_matches_a_stable_argsort_build():
                 assert np.array_equal(e, want_e), levels
                 assert np.array_equal(o, want_o), levels
                 assert o.dtype == np.int32
+
+
+def low_prefix_array(rng, n, sigma, low):
+    """n colors over sigma, each present after the first half; the first
+    half holds only the colors of the `low` lowest ranks."""
+    prio = rng.permutation(sigma).astype(np.int64)
+    colors = rng.integers(0, sigma, size=n)
+    lows = np.flatnonzero(prio < low)
+    colors[: n // 2] = lows[rng.integers(0, low, size=n // 2)]
+    colors[n // 2 + rng.choice(n - n // 2, size=sigma, replace=False)] = (
+        np.arange(sigma))
+    return ColorArray(colors.astype(np.int32), prio)
+
+
+@pytest.mark.parametrize("sigma", [2001, 2049])
+def test_summary_root_matches_oracle(sigma, core_paths, monkeypatch):
+    # sigma is no multiple of the group size; the first half holds only the
+    # lowest rank group, so a wide range there has fewer than k colors
+    rng = np.random.default_rng(sigma)
+    n, B = 1 << 17, _SUMMARY_BLOCK
+    arr = low_prefix_array(rng, n, sigma, _SUMMARY_GROUP)
+    presents = []
+    run = _SparseCore._present
+
+    def spy(core, a, b, top):
+        presents.append((a, b))
+        return run(core, a, b, top)
+
+    monkeypatch.setattr(_SparseCore, "_present", spy)
+    for ix in (OptimalTopK(arr), ChunkedTopK(arr)):
+        core = ix.core
+        assert core.levels == [0, ceil_log2(sigma)]
+        assert core._summary is not None
+        half = n // 2
+        ranges = [
+            # on block boundaries: both ends, the start only, the end only
+            (B + 1, 40 * B), (B + 1, 40 * B + 7), (B + 9, 40 * B),
+            # inside one block, and over two partial blocks
+            (3 * B + 5, 3 * B + 100), (3 * B + 300, 4 * B + 200),
+            # only the lowest rank group, over many blocks
+            (1, half), (77, half - 3 * B - 1),
+            # across both halves, and the whole array
+            (half - 20 * B + 3, half + 30 * B), (1, n),
+        ]
+        for a, b in ranges:
+            for k in (1, 16, 1024):
+                want = oracle_topk(arr, a, b, k)
+                core_paths.clear()
+                assert ix.topk(a, b, k) == want, (a, b, k)
+                path = "_scan" if b - a < core.scan_width(k) else "_descend"
+                assert core_paths == [(path, core, a, b)], (a, b, k)
+                # the root walk at every width, the summary's too
+                got = arr.list_from_ranks(core._descend(a, b, k))
+                assert got == want, (a, b, k)
+        # the low half's ranges came back short of their first batch
+        assert (1, half) in presents and (3 * B + 5, 3 * B + 100) in presents
+
+
+def test_summary_is_counted_once_and_left_unchanged():
+    rng = np.random.default_rng(109)
+    n, sigma = 1 << 16, 4096
+    arr = low_prefix_array(rng, n, sigma, 64)
+    ix = OptimalTopK(arr)
+    core = ix.core
+    summary = core._summary
+    assert summary.dtype == np.uint64
+    assert summary.shape == (-(-sigma // (64 * _SUMMARY_GROUP)),
+                             -(-n // _SUMMARY_BLOCK))
+    want = nbits(*core._E, *core._off) + 8 * summary.nbytes
+    assert ix.measured_bits() == core.measured_bits() == want
+    before = summary.copy()
+    for a, b in [(1, n), (1, n // 2), (n // 2 - 999, n // 2 + 5000), (5, 700)]:
+        for k in (1, 16, 1024):
+            ix.topk(a, b, k)
+            core._descend(a, b, k)
+    assert core._summary is summary
+    assert np.array_equal(summary, before)
+    assert ix.measured_bits() == want
+    # each bit is a rank group present in its block, and every present
+    # group has its bit
+    groups = arr.ranks // _SUMMARY_GROUP
+    for blk in (0, 5, n // _SUMMARY_BLOCK - 1):
+        seen = np.unique(groups[blk * _SUMMARY_BLOCK : (blk + 1) * _SUMMARY_BLOCK])
+        column = np.ascontiguousarray(summary[:, blk])
+        bits = np.unpackbits(column.view(np.uint8), bitorder="little")
+        assert np.array_equal(np.flatnonzero(bits), seen)
+
+
+@pytest.mark.parametrize("sigma", [2001, 2049])
+def test_summary_root_skips_the_leaves_its_first_batch_mapped(sigma, monkeypatch):
+    # a few high ranks in a low range: the first batch finds them but comes
+    # back less than half full, and each shares its rank group with leaves
+    # below the batch, which the summary then names again
+    rng = np.random.default_rng(sigma + 7)
+    n = 1 << 15
+    arr = low_prefix_array(rng, n, sigma, _SUMMARY_GROUP)
+    ranks = arr.ranks.copy()
+    for first in (_FIRST_BATCH, _FLAT_BATCH):
+        r = sigma - first + 1
+        assert (sigma - first) % _SUMMARY_GROUP and r % _SUMMARY_GROUP
+        ranks[rng.choice(n // 2, size=5, replace=False)] = r
+    by_rank = np.argsort(arr.priority_of)
+    arr = ColorArray(by_rank[ranks].astype(np.int32), arr.priority_of)
+    core = OptimalTopK(arr).core
+    assert core.levels == [0, ceil_log2(sigma)]
+    presents = []
+    run = _SparseCore._present
+
+    def spy(core, a, b, top):
+        presents.append(top)
+        return run(core, a, b, top)
+
+    monkeypatch.setattr(_SparseCore, "_present", spy)
+    for a, b in [(1, n // 2), (100, n // 3), (1, n)]:
+        for k in (1, 16, 1024):
+            want = oracle_topk(arr, a, b, k)
+            presents.clear()
+            got = arr.list_from_ranks(core._descend(a, b, k))
+            assert got == want, (a, b, k)
+            if b <= n // 2:
+                assert presents == [sigma - min(max(k, _FIRST_BATCH), _FLAT_BATCH)]

@@ -17,7 +17,11 @@ least time lost against the cheapest path:
   width: a scan iff b - a < scan_width(k), where scan_width(k) =
       max(2^levels[1], _STEP_WIDTH * steps + _UNIT_WIDTH * units) and
       units = min(sigma, k + 2^leaf fan) leaf needles plus
-      min(2^levels[1], k + 16) root children when there is a middle level.
+      min(2^levels[1], k + 16) root children when there is a middle level,
+      and min(sigma, k + 16) leaves at a flat root.
+
+The fits search KERNEL_GRID and WIDTH_GRID, name any constant that lands
+on its grid's edge, and price the library's pair on the same cells.
 
 Each core's time lost is then reported under the library's rule ("current"),
 read from the core.
@@ -26,8 +30,9 @@ A third sweep, --levels, compares level sets.  For every sigma in
 LEVEL_SIGMAS and N in LEVEL_NS it builds a uniform array and a skewed one,
 whose first half holds only the max(1, sigma / 64) lowest-ranked colors,
 and a _SparseCore on each candidate level set: SparseTopK(f=2)'s stride
-rule ("stride"), the flat {0, h} and {0, m, h} for every m from h/3 to
-2h/3, where h = ceil(log2 sigma).  Each cell (input, width, K) times every
+rule ("stride"), the flat {0, h} (with its rank-group summary past
+h = 10, whose bits count) and {0, m, h} for every m from h/3 to 2h/3,
+where h = ceil(log2 sigma).  Each cell (input, width, K) times every
 level set's descent on the same random starts (inside the skewed half on
 the skewed input) and the library's scan once; a level set's cost in a
 cell is the cheaper of its descent and the scan.  Per shape, the pick is
@@ -35,6 +40,15 @@ the level set of least summed cost whose bits per element are no more
 than the stride rule's (plus 1 %) and whose cost on no cell, uniform or
 skewed, exceeds the stride rule's by more than LEVEL_NOISE; the report
 says whether fitted_levels(n, sigma) is that pick or how much slower it is.
+
+Before the level sweep, --levels runs the flat root's sweep: at every
+(N, sigma) in ROOT_SHAPES, on a uniform, a skewed and a scattered array
+(ROOT_INPUTS), it times the flat core's descent for every summary block
+in ROOT_BLOCKS, group in ROOT_GROUPS and first-batch cap in ROOT_BATCHES,
+and the {0, ceil(h/2), h} core's ("mid"), on the same random starts.  The
+pick is the candidate of least summed time whose summary adds at most
+SUMMARY_BUDGET bits per element at sigma = 4096 and which is no slower
+than "mid" on any shape's input.
 
 The cores are the benchmark's arrays (N = 2^18 uniform colors, each
 present) at sigma 4 (ChunkedTopK), 4096 (OptimalTopK and SparseTopK(f=3))
@@ -44,12 +58,13 @@ and 2^16 + 1 (OptimalTopK), and the docs workload's main core (sigma
     python3 tools/scan_sweep.py --seed 17 --out sweep.json
     python3 tools/scan_sweep.py --levels --seed 17 --out levels.json
 
-Each takes under a minute on one core and under 300 MB.
+Each takes about a minute on one core and under 300 MB.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -70,6 +85,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import topkolors as tk  # noqa: E402
 import workloads  # noqa: E402
 from topkolors import sparse  # noqa: E402
+from topkolors.util import nbits  # noqa: E402
 
 WIDTHS = [64, 256, 1024, 2048, 3072, 4096, 6144, 8192, 12288, 16384,
           24576, 32768, 49152, 65536, 98304, 131072]
@@ -83,9 +99,27 @@ LEVEL_KS = [1, 16, 1024]
 # a cell this much slower than the stride rule's is over the guard
 LEVEL_NOISE = 0.10
 # the library's constants as the recorded sweeps fitted them
-# (BENCH_level_set.json); check_library asserts that the library holds them
-FITTED = {"_MASK_POSITION": 5.0, "_MASK_COLOR": 2.25, "_STEP_WIDTH": 12000,
-          "_UNIT_WIDTH": 40, "_STRIDE_HEIGHT": 10}
+# (BENCH_root_summary.json); check_library asserts that the library holds
+# them
+FITTED = {"_MASK_POSITION": 5.0, "_MASK_COLOR": 2.25, "_STEP_WIDTH": 7000,
+          "_UNIT_WIDTH": 45, "_STRIDE_HEIGHT": 10, "_SUMMARY_BLOCK": 512,
+          "_SUMMARY_GROUP": 8, "_FLAT_BATCH": 64}
+# the kernel fit's grid: count cost per position and per color
+KERNEL_GRID = (np.arange(0.5, 12.01, 0.25), np.arange(0.25, 8.01, 0.25))
+# the width fit's grid: positions per level step and per unit of work
+WIDTH_GRID = (range(500, 20001, 500), range(5, 101, 5))
+# the root sweep's candidates: summary block and group sizes, and the most
+# leaves the flat root's first batch maps
+ROOT_BLOCKS = [64, 128, 256, 512, 1024]
+ROOT_GROUPS = [4, 8, 16, 32, 64]
+ROOT_BATCHES = [16, 32, 64, 128, 256, 1024]
+ROOT_SHAPES = [(1 << 18, 2048), (1 << 18, 4096), (1 << 16, 4096)]
+# the skewed input's first half holds the lowest ranks; the scattered
+# input's, as many ranks drawn at random, so that each present rank group
+# holds about one of them
+ROOT_INPUTS = ("uniform", "skewed", "scattered")
+# the most bits per element the summary may add at sigma = 4096
+SUMMARY_BUDGET = 1.0
 
 
 def array(seed: int, sigma: int):
@@ -134,10 +168,11 @@ def mask_cheaper(w, sigma, per_position, per_color) -> bool:
 
 
 def units(levels, sigma, k) -> int:
-    u = min(sigma, k + (1 << (levels[-1] - levels[-2])))
-    if len(levels) > 2:
-        u += min(1 << levels[1], k + sparse._FIRST_BATCH)
-    return u
+    if len(levels) == 2:
+        # a flat root: its first batch, and a leaf per answer past it
+        return min(sigma, k + sparse._FIRST_BATCH)
+    return (min(sigma, k + (1 << (levels[-1] - levels[-2])))
+            + min(1 << levels[1], k + sparse._FIRST_BATCH))
 
 
 def width(levels, sigma, k, step, unit) -> int:
@@ -155,18 +190,24 @@ def lost_share(rows, cost) -> float:
 
 def fit_kernels(kernels: dict) -> dict:
     """(_MASK_POSITION, _MASK_COLOR) of least summed time lost between the
-    two scans over every kernel cell."""
+    two scans over every kernel cell, on KERNEL_GRID; "edge" names each
+    fitted constant that lies on its grid's edge.  The library's pair is
+    priced on the same cells."""
     rows = [(sigma, r) for sigma, rs in kernels.items() for r in rs]
 
     def cost(p, c):
         return sum(r["mask_us" if mask_cheaper(r["width"], sigma, p, c)
                        else "sort_us"] - best(r) for sigma, r in rows)
 
-    grid = itertools.product(np.arange(5, 10.01, 0.2), np.arange(0.5, 6.01, 0.25))
-    p, c = min(grid, key=lambda pc: cost(*pc))
+    p, c = min(itertools.product(*KERNEL_GRID), key=lambda pc: cost(*pc))
     total = sum(best(r) for _, r in rows)
-    return {"_MASK_POSITION": round(float(p), 1), "_MASK_COLOR": round(float(c), 2),
-            "lost_share": round(cost(p, c) / total, 3)}
+    edge = [name for name, v, axis in zip(("_MASK_POSITION", "_MASK_COLOR"),
+                                          (p, c), KERNEL_GRID)
+            if v in (axis[0], axis[-1])]
+    library = cost(sparse._MASK_POSITION, sparse._MASK_COLOR)
+    return {"_MASK_POSITION": round(float(p), 2), "_MASK_COLOR": round(float(c), 2),
+            "lost_share": round(cost(p, c) / total, 4), "edge": edge,
+            "library_lost_share": round(library / total, 4)}
 
 
 def rule_cost(core, row, step, unit, per_position, per_color):
@@ -179,17 +220,24 @@ def rule_cost(core, row, step, unit, per_position, per_color):
 
 def fit_width(swept: dict, kernel_fit: dict) -> dict:
     """(_STEP_WIDTH, _UNIT_WIDTH) of least summed lost share over the
-    cores, under the fitted kernel rule."""
+    cores on WIDTH_GRID, under the fitted kernel rule; "edge" names each
+    fitted constant that lies on its grid's edge.  The library's pair is
+    priced under the same kernel rule."""
     pm = (kernel_fit["_MASK_POSITION"], kernel_fit["_MASK_COLOR"])
 
     def shares(step, unit):
         return {name: lost_share(rows, lambda r: rule_cost(core, r, step, unit, *pm))
                 for name, (core, rows) in swept.items()}
 
-    grid = itertools.product(range(4000, 20001, 500), range(5, 61, 5))
-    step, unit = min(grid, key=lambda g: sum(shares(*g).values()))
-    return {"_STEP_WIDTH": step, "_UNIT_WIDTH": unit,
-            "lost_share": {k: round(v, 3) for k, v in shares(step, unit).items()}}
+    step, unit = min(itertools.product(*WIDTH_GRID),
+                     key=lambda g: sum(shares(*g).values()))
+    edge = [name for name, v, axis in zip(("_STEP_WIDTH", "_UNIT_WIDTH"),
+                                          (step, unit), WIDTH_GRID)
+            if v in (axis[0], axis[-1])]
+    library = shares(sparse._STEP_WIDTH, sparse._UNIT_WIDTH)
+    return {"_STEP_WIDTH": step, "_UNIT_WIDTH": unit, "edge": edge,
+            "lost_share": {k: round(v, 3) for k, v in shares(step, unit).items()},
+            "library_lost_share": {k: round(v, 3) for k, v in library.items()}}
 
 
 def check_library(core) -> None:
@@ -204,6 +252,16 @@ def check_library(core) -> None:
     m = core._mask_from
     assert m == n or mask_cheaper(m + 1, sigma, *pm), m
     assert m == 0 or not mask_cheaper(m, sigma, *pm), m
+    # the summary: a flat core past the stride rule's height, one uint64
+    # row per 64 rank groups, one column per block
+    summary = core._summary
+    if len(lv) == 2 and lv[-1] > sparse._STRIDE_HEIGHT:
+        groups = -(-sigma // sparse._SUMMARY_GROUP)
+        assert summary.shape == (-(-groups // 64),
+                                 -(-n // sparse._SUMMARY_BLOCK))
+        assert summary.dtype == np.uint64
+    else:
+        assert summary is None
 
 
 def library_cost(core, row) -> float:
@@ -249,13 +307,18 @@ def sweep(seed: int, starts: int):
     return kernels, swept
 
 
-def skewed_array(rng, n: int, sigma: int):
+def skewed_array(rng, n: int, sigma: int, scattered: bool = False):
     """n colors over sigma, each present in the second half; the first
-    half holds only the max(1, sigma // 64) lowest-ranked colors."""
+    half holds only max(1, sigma // 64) colors: the lowest-ranked ones, or,
+    scattered, ones of ranks drawn at random."""
     prio = rng.permutation(sigma).astype(np.int64)
     half = n // 2
     colors = rng.integers(0, sigma, size=n)
-    low = np.flatnonzero(prio < max(1, sigma // 64))
+    few = max(1, sigma // 64)
+    if scattered:
+        low = rng.choice(sigma, size=few, replace=False)
+    else:
+        low = np.flatnonzero(prio < few)
     colors[:half] = low[rng.integers(0, len(low), size=half)]
     present = half + rng.choice(n - half, size=sigma, replace=False)
     colors[present] = np.arange(sigma)
@@ -390,6 +453,131 @@ def level_sweep(seed: int, starts: int, sigmas=LEVEL_SIGMAS,
     return result
 
 
+def root_widths(n: int) -> list:
+    return [n // 16, n // 4, n // 2]
+
+
+@contextlib.contextmanager
+def constants(**values):
+    """sparse's module constants set to `values`, restored on exit."""
+    saved = {name: getattr(sparse, name) for name in values}
+    vars(sparse).update(values)
+    try:
+        yield
+    finally:
+        vars(sparse).update(saved)
+
+
+def root_cells(arr, rng, starts, skewed: bool, blocks, groups, batches):
+    """Per (width, K): the middle-level set's descent microseconds ("mid"),
+    and the flat core's for every (block, group, first batch cap), over
+    the same `starts` random ranges (inside the skewed half on a skewed
+    input), each warm.  Every answer is checked against the scan's."""
+    n, sigma = arr.n, arr.sigma
+    h = sparse.ceil_log2(sigma)
+    span = n // 2 if skewed else n
+    mid = sparse._SparseCore(arr, [0, -(-h // 2), h])
+    flats = {}
+    for bl, g in itertools.product(blocks, groups):
+        with constants(_SUMMARY_BLOCK=bl, _SUMMARY_GROUP=g):
+            flats[bl, g] = sparse._SparseCore(arr, [0, h])
+    perf = time.perf_counter
+    rows = []
+    for w in root_widths(n):
+        if w > span:
+            continue
+        for k in LEVEL_KS:
+            times = {"mid": []}
+            for _ in range(starts):
+                a = int(rng.integers(1, span - w + 2))
+                b = a + w - 1
+                want = mid._scan(a, b, k)
+                # every core is timed on its second call at a start, so
+                # that none pays for the keys the others evicted
+                mid._descend(a, b, k)
+                t0 = perf()
+                got = mid._descend(a, b, k)
+                times["mid"].append(perf() - t0)
+                if not np.array_equal(got, want):
+                    raise AssertionError(f"mid disagrees at {(a, b, k)}")
+                for (bl, g), core in flats.items():
+                    with constants(_SUMMARY_BLOCK=bl, _SUMMARY_GROUP=g):
+                        core._descend(a, b, k)
+                    for cap in batches:
+                        with constants(_SUMMARY_BLOCK=bl, _SUMMARY_GROUP=g,
+                                       _FLAT_BATCH=cap):
+                            t0 = perf()
+                            got = core._descend(a, b, k)
+                            dt = perf() - t0
+                        times.setdefault(f"b{bl}-g{g}-c{cap}", []).append(dt)
+                        if not np.array_equal(got, want):
+                            raise AssertionError(
+                                f"flat disagrees at {(bl, g, cap, a, b, k)}")
+            rows.append({"width": w, "k": k, **{
+                name: round(statistics.median(t) * 1e6, 1)
+                for name, t in times.items()}})
+    bits = {f"b{bl}-g{g}": round(nbits(core._summary) / n, 3)
+            for (bl, g), core in flats.items()}
+    return rows, bits
+
+
+def root_report(shapes: dict) -> dict:
+    """Per candidate: its summed microseconds over every shape and input,
+    and the worst ratio of its summed time on one shape's input to the
+    middle-level set's.  The pick is the candidate of least summed time
+    whose summary adds at most SUMMARY_BUDGET bits per element at
+    sigma = 4096 and which is no slower than the middle-level set on any
+    shape's input; "library" is the candidate of the library's constants."""
+    names = [c for c in shapes[next(iter(shapes))]["uniform"][0]
+             if c not in ("width", "k", "mid")]
+    out = {}
+    for name in names:
+        total, worst = 0.0, 0.0
+        for shape in shapes.values():
+            for key in ROOT_INPUTS:
+                us = sum(r[name] for r in shape[key])
+                total += us
+                worst = max(worst, us / sum(r["mid"] for r in shape[key]))
+        bl, g, _ = name.split("-")
+        out[name] = {"us": round(total, 1), "worst_over_mid": round(worst, 3),
+                     "bits_at_4096": round(4096 / (int(bl[1:]) * int(g[1:])), 3)}
+    ok = [name for name, o in out.items()
+          if o["bits_at_4096"] <= SUMMARY_BUDGET and o["worst_over_mid"] <= 1]
+    library = "b{_SUMMARY_BLOCK}-g{_SUMMARY_GROUP}-c{_FLAT_BATCH}".format(
+        **vars(sparse))
+    return {"pick": min(ok, key=lambda name: out[name]["us"]),
+            "library": library, "candidates": out}
+
+
+def root_sweep(seed: int, starts: int, shapes=ROOT_SHAPES, blocks=ROOT_BLOCKS,
+               groups=ROOT_GROUPS, batches=ROOT_BATCHES) -> dict:
+    """The flat root's sweep over summary block and group sizes and the
+    first batch's cap, on an array of each of ROOT_INPUTS per shape: rows
+    and report."""
+    rng = np.random.default_rng(seed)
+    result = {}
+    for n, sigma in shapes:
+        shape = {"n": n, "sigma": sigma}
+        for key in ROOT_INPUTS:
+            if key == "uniform":
+                arr = uniform_array(rng, n, sigma)
+            else:
+                arr = skewed_array(rng, n, sigma, key == "scattered")
+            rows, bits = root_cells(arr, rng, starts, key != "uniform",
+                                    blocks, groups, batches)
+            shape[key] = rows
+            shape.setdefault("summary_bits", bits)
+            del arr
+        result[f"n{n.bit_length() - 1}-s{sigma}"] = shape
+    report = root_report(result)
+    for shape in result.values():
+        for key in ROOT_INPUTS:
+            rows = shape[key]
+            shape["columns"] = list(rows[0])
+            shape[key] = [list(r.values()) for r in rows]
+    return {**report, "shapes": result}
+
+
 def write(path, result) -> None:
     """result as indented JSON at path, if any, each row on one line."""
     if path is None:
@@ -414,9 +602,12 @@ def main(argv=None) -> int:
             "cpu": platform.processor() or platform.machine(),
             "python": platform.python_version(), "numpy": np.__version__}
     if args.levels:
+        root = root_sweep(args.seed, args.starts)
         shapes = level_sweep(args.seed, args.starts)
         write(args.out, {"host": host, "seed": args.seed,
-                         "starts": args.starts, "shapes": shapes})
+                         "starts": args.starts, "root": root, "shapes": shapes})
+        print("root", root["pick"], root["library"],
+              root["candidates"][root["library"]])
         for name, c in shapes.items():
             print(name, c["pick"], c["fitted"], c["fitted_over_pick"],
                   c["fitted_over_stride"],
@@ -427,8 +618,7 @@ def main(argv=None) -> int:
     result = {
         "host": host,
         "seed": args.seed, "starts": args.starts,
-        "library": {name: getattr(sparse, name) for name in (
-            "_MASK_POSITION", "_MASK_COLOR", "_STEP_WIDTH", "_UNIT_WIDTH")},
+        "library": {name: getattr(sparse, name) for name in FITTED},
         "fit": {"kernel": kernel_fit, "width": fit_width(swept, kernel_fit)},
         "kernels": {sigma: {"columns": list(rows[0]),
                             "rows": [list(r.values()) for r in rows]}
