@@ -10,6 +10,13 @@ top-K color queries:
   ranked_list(P, k)   k highest-weight documents containing P
   t_mine(P, t, k)     k highest-weight documents with at least t occurrences
 
+The suffix array is built by prefix doubling (build_suffix_array): symbol
+ids from a table of the bytes present, one sort of the suffixes by their
+first h symbols, then rounds that re-sort only the groups still tied, each
+suffix ranked by the order position where its group starts (Larsson and
+Sadakane, "Faster suffix sorting", TCS 2007).  The slot colors are one
+gather through it of the owner of every text position.
+
 t_mine(P, 1, k) is ranked_list(P, k), so the main index serves it.  For
 t >= 2, t_mine asks the main core for the k highest ranks that occur at
 least t times in P's slot range [a, b] (_SparseCore.topk_ranks with t): it
@@ -59,38 +66,58 @@ def build_suffix_array(text: bytes) -> np.ndarray:
     """Suffix array by prefix doubling: start offsets in lex order, int32
     when len(text) < 2**31.
 
-    The first key packs the first h symbols of each suffix into one int64
-    (symbol ids + 1 in `bits` bits each, 0 past the end); each round then
-    sorts one combined key, rank[i] * (n + 1) + rank[i + k] + 1, which
-    doubles the prefix the ranks tell apart.  The last round's keys are all
-    distinct, so the sort needs no stability.
+    Symbol ids come from a 256-entry table of the bytes present, 1 for
+    the smallest.  The first key packs the first h symbols of each suffix
+    into one int64 (ids in `bits` bits each, 0 past the end), and one
+    argsort of it sorts the suffixes by their first h symbols.  A suffix's
+    rank is the order position where its group of equal prefixes starts.
+    Each later round re-sorts only the suffixes of groups of two or more,
+    by (group start, rank of suffix i + k), in place, which doubles the
+    prefix k the ranks tell apart; a group of one is final and drops out.
+    A tied suffix has at least k symbols, so i + k <= n, and rank[n] = -1
+    sorts a suffix that ends there first.
     """
     n = len(text)
     dtype = np.int32 if n < 2**31 else np.int64
     if n == 0:
         return np.empty(0, dtype=dtype)
-    _, sym = np.unique(np.frombuffer(text, dtype=np.uint8),
-                       return_inverse=True)
-    bits = (int(sym.max()) + 1).bit_length()
+    raw = np.frombuffer(text, dtype=np.uint8)
+    present = np.zeros(256, dtype=bool)
+    present[raw] = True
+    ids = np.cumsum(present, dtype=np.uint16)
+    bits = int(ids[-1]).bit_length()
     h = 63 // bits
-    padded = np.zeros(n + h, dtype=np.int64)
-    padded[:n] = sym + 1
+    padded = np.zeros(n + h, dtype=np.uint16)
+    np.take(ids, raw, out=padded[:n])
     key = np.zeros(n, dtype=np.int64)
     for j in range(h):
         key <<= bits
         key |= padded[j : j + n]
+    del padded
+    order = np.argsort(key).astype(dtype)
+    key = key[order]
+    rank = np.empty(n + 1, dtype=dtype)
+    rank[n] = -1
+    # pos: the order positions still being sorted, sfx: their suffixes
+    pos = np.arange(n, dtype=dtype)
+    sfx = order
     k = h
-    rank = np.empty(n, dtype=np.int64)
-    step = np.zeros(n, dtype=np.int64)
     while True:
-        order = np.argsort(key)
-        ordered = key[order]
-        np.not_equal(ordered[1:], ordered[:-1], out=step[1:])
-        rank[order] = np.cumsum(step)
-        if int(rank[order[-1]]) == n - 1:
-            return order.astype(dtype)
-        key = rank * (n + 1)
-        key[: n - k] += rank[k:] + 1
+        first = np.empty(len(key), dtype=bool)
+        first[0] = True
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        rank[sfx] = np.maximum.accumulate(np.where(first, pos, 0))
+        tied = ~first
+        tied[:-1] |= tied[1:]
+        pos = pos[tied]
+        if len(pos) == 0:
+            return order
+        sfx = sfx[tied]
+        key = rank[sfx].astype(np.int64) * (n + 1) + (rank[sfx + k] + 1)
+        perm = np.argsort(key)
+        key = key[perm]
+        sfx = sfx[perm]
+        order[pos] = sfx
         k *= 2
 
 
@@ -99,9 +126,11 @@ def naive_suffix_array(text: bytes) -> list[int]:
 
 
 def _as_bytes(doc) -> bytes:
-    """doc as bytes: a str encoded as UTF-8, a bytes-like object, or a
-    sequence of byte values.  Anything else is a BadParameter, an integer
-    above all, which bytes() would read as a length of zero bytes."""
+    """doc as bytes: a str encoded as UTF-8, a buffer of single-byte items,
+    or a sequence of byte values, read by value.  Anything else is a
+    BadParameter: an integer above all, which bytes() would read as a
+    length of zero bytes, and a buffer of wider items (an int64 or float
+    array), which bytes() would read as raw memory."""
     if isinstance(doc, bytes):
         return doc
     if isinstance(doc, str):
@@ -111,7 +140,13 @@ def _as_bytes(doc) -> bytes:
             raise BadParameter(f"text has no UTF-8 encoding: {exc}") from None
     if not isinstance(doc, numbers.Integral):
         try:
-            return bytes(doc)
+            with memoryview(doc) as view:
+                if view.format in ("B", "b", "c"):
+                    return view.tobytes()
+        except TypeError:
+            pass
+        try:
+            return bytes(iter(doc))
         except (TypeError, ValueError):
             pass
     raise BadParameter(
@@ -145,7 +180,6 @@ class DocumentCollection:
         self.text = b"".join(d + bytes([SEPARATOR]) for d in self.docs)
         self.num_docs = len(self.docs)
         self.max_doc_len = max(len(d) for d in self.docs)
-        self._ends = np.cumsum([len(d) + 1 for d in self.docs])
 
     @property
     def n(self) -> int:
@@ -229,11 +263,11 @@ class DocumentIndex:
         if self.t_values and self.t_values[0] < 1:
             raise BadParameter(f"threshold {self.t_values[0]} must be >= 1")
         self.suffix_array = build_suffix_array(collection.text)
-        slot_pos = self.suffix_array
-        text_bytes = np.frombuffer(collection.text, dtype=np.uint8)
-        is_sep = text_bytes[slot_pos] == SEPARATOR
-        owners = np.searchsorted(collection._ends, slot_pos, side="right")
-        colors = np.where(is_sep, s, owners).astype(np.int32)
+        # the owner of every text position, the dummy s on separators
+        lengths = [len(d) + 1 for d in collection.docs]
+        owner = np.repeat(np.arange(s, dtype=np.int32), lengths)
+        owner[np.cumsum(lengths) - 1] = s
+        colors = owner[self.suffix_array]
         prio = np.asarray(
             [self.weights[j] for j in range(s)] + [dummy_prio],
             dtype=np.int64,

@@ -1,5 +1,9 @@
+import array
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topkolors import docs as docs_module
 from topkolors.docs import (
@@ -401,9 +405,26 @@ def test_measured_bits_counts_every_held_array_once(held_bits):
     assert ix.measured_bits() == held_bits(ix, ix.collection)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.sets(st.integers(1, 255), min_size=1, max_size=4).flatmap(
+    lambda symbols: st.lists(st.sampled_from(sorted(symbols) + [0]),
+                             max_size=300)))
+def test_suffix_array_matches_naive_property(values):
+    text = bytes(values)
+    got = build_suffix_array(text)
+    assert got.dtype == np.int32
+    assert got.tolist() == naive_suffix_array(text)
+
+
 def test_suffix_array_alphabets_lengths_and_periods():
     rng = np.random.default_rng(36)
-    texts = [b"ab" * 400, b"a" * 1000, bytes(range(256)) * 3]
+    # periodic texts longer than 8 h stay tied in one group per residue
+    # for round after round; identical documents joined by separators
+    # split their groups at every depth; all 256 byte values take 9-bit
+    # symbols, h = 7
+    texts = [b"ab" * 400, b"a" * 1000, bytes(range(256)) * 3,
+             b"abc" * 300, b"abacbca" * 130, b"\x03\x01" * 300,
+             b"abcab\x00" * 60, b"ba\x00" * 200 + b"b\x00"]
     for sigma in (1, 2, 27, 256):
         symbols = rng.choice(256, sigma, replace=False).astype(np.uint8)
         # every n up to 9 is shorter than the packed first key (h >= 7)
@@ -436,6 +457,42 @@ def test_t_mine_one_is_ranked_list():
     with pytest.raises(UnsupportedT):
         ix.t_mine("ab", 1, 1)
     assert ix.t_mine("ab", 2, 2) == [(0, 2)]
+
+
+def test_slot_colors_are_the_suffix_owners():
+    rng = np.random.default_rng(40)
+    collections = [
+        DocumentCollection(["a", "b", "a", "c"]),
+        DocumentCollection(["abab"] * 5),
+        DocumentCollection(["mississippi"]),
+        random_collection(rng, 300, 12, b"abc"),
+    ]
+    for coll in collections:
+        s = coll.num_docs
+        ix = DocumentIndex(coll, {j: j % 7 for j in range(s)})
+        owner = []
+        for j, d in enumerate(coll.docs):
+            owner += [j] * len(d) + [s]
+        assert len(owner) == coll.n
+        assert ix.arr.colors.tolist() == [owner[i] for i in ix.suffix_array]
+
+
+def test_buffers_are_read_by_item_not_by_memory():
+    coll = DocumentCollection(["ab", "ba"])
+    ix = DocumentIndex(coll, {0: 3, 1: 9})
+    for text in (np.array([97, 98]), np.array([97, 98], dtype=np.uint8),
+                 bytearray(b"ab"), memoryview(b"ab"),
+                 array.array("B", b"ab")):
+        assert DocumentCollection([text, "ba"]).text == coll.text
+        assert ix.ranked_list(text, 2) == [(0, 3)]
+    # wide items are values, not raw memory: each is a BadParameter, not
+    # the pattern or the separator that their bytes would spell
+    for bad in (np.array([0x6261], dtype=np.int16), np.array([97.0, 98.0]),
+                array.array("i", [300])):
+        with pytest.raises(BadParameter):
+            DocumentCollection([bad])
+        with pytest.raises(BadParameter):
+            ix.ranked_list(bad, 2)
 
 
 def test_slot_arrays_are_int32():
