@@ -44,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--kind", required=True, choices=sorted(KINDS))
     b.add_argument("--input", required=True, help="text input file")
     b.add_argument("--output", required=True, help="snapshot file to write")
-    b.add_argument("--f", type=int, default=2,
+    b.add_argument("--f", type=int,
                    help="level sparsification for --kind sparse (default 2)")
 
     q = sub.add_parser("query", help="run one query against a snapshot")
@@ -52,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mode = q.add_mutually_exclusive_group(required=True)
     mode.add_argument("--range", nargs=3, type=int, metavar=("A", "B", "K"))
     mode.add_argument("--pattern", help="pattern for a document snapshot")
-    q.add_argument("--k", type=int, default=1,
+    q.add_argument("--k", type=int,
                    help="answer size for --pattern (default 1)")
     q.add_argument("--t", type=int,
                    help="with --pattern: occurrence threshold")
@@ -68,6 +68,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_build(args) -> int:
+    cls = KINDS[args.kind]
+    if args.f is not None and cls is not SparseTopK:
+        raise BadParameter("--f applies to --kind sparse only")
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -75,19 +78,21 @@ def _cmd_build(args) -> int:
         raise ParseError(
             f"{args.input}: not UTF-8 text ({exc.reason} at byte {exc.start})"
         ) from None
-    cls = KINDS[args.kind]
     if cls is DocumentIndex:
         index = cls(*parse_corpus_text(text))
-    elif cls is SparseTopK:
-        index = cls(parse_array_text(text), f=args.f)
     else:
-        index = cls(parse_array_text(text))
+        # only SparseTopK gets here with an --f
+        kwargs = {} if args.f is None else {"f": args.f}
+        index = cls(parse_array_text(text), **kwargs)
     save_index(args.output, index)
     print(f"built {args.kind} snapshot: {args.output}")
     return 0
 
 
 def _cmd_query(args) -> int:
+    if args.range is not None and (args.t is not None or args.k is not None):
+        raise BadParameter("--t and --k apply to --pattern only; "
+                           "--range carries its own K")
     kind, index = load_index(args.snapshot)
     if args.range is not None:
         if kind == "docs":
@@ -101,10 +106,11 @@ def _cmd_query(args) -> int:
             raise KindMismatch(
                 f"pattern queries need a document snapshot, got {kind}"
             )
+        k = 1 if args.k is None else args.k
         if args.t is not None:
-            result = index.t_mine(args.pattern, args.t, args.k)
+            result = index.t_mine(args.pattern, args.t, k)
         else:
-            result = index.ranked_list(args.pattern, args.k)
+            result = index.ranked_list(args.pattern, k)
     for c, p in result:
         print(f"({c},{p})")
     return 0
@@ -148,16 +154,16 @@ def _verify_docs(index: DocumentIndex, trials: int, seed: int) -> int:
                 f"got={list(got)} want={want}"
             )
             return 1
-        if index.t_values:
-            t = int(index.t_values[int(rng.integers(0, len(index.t_values)))])
-            got_t = index.t_mine(pattern, t, k)
-            want_t = naive_t_mine(coll, weights, pattern, t, k)
-            if got_t != want_t:
-                print(
-                    f"mismatch at trial {trial}: pattern={pattern!r} t={t} "
-                    f"k={k} got={list(got_t)} want={want_t}"
-                )
-                return 1
+        # past the longest document, t_mine answers [] without a scan
+        t = int(rng.integers(1, coll.max_doc_len + 2))
+        got_t = index.t_mine(pattern, t, k)
+        want_t = naive_t_mine(coll, weights, pattern, t, k)
+        if got_t != want_t:
+            print(
+                f"mismatch at trial {trial}: pattern={pattern!r} t={t} "
+                f"k={k} got={list(got_t)} want={want_t}"
+            )
+            return 1
     print(f"verify: ok trials={trials}")
     return 0
 
@@ -182,7 +188,6 @@ def _cmd_stats(args) -> int:
         lines["text_bytes"] = index.collection.n
         lines["n"] = index.arr.n
         lines["sigma"] = index.arr.sigma
-        lines["t_values"] = ",".join(str(t) for t in index.t_values)
     else:
         lines["n"] = index.arr.n
         lines["sigma"] = index.arr.sigma

@@ -17,19 +17,18 @@ suffix ranked by the order position where its group starts (Larsson and
 Sadakane, "Faster suffix sorting", TCS 2007).  The slot colors are one
 gather through it of the owner of every text position.
 
-t_mine(P, 1, k) is ranked_list(P, k), so the main index serves it.  For
-t >= 2, t_mine asks the main core for the k highest ranks that occur at
-least t times in P's slot range [a, b] (_SparseCore.topk_ranks with t): it
-counts the range's own ranks, a slot per occurrence, so its answer is
-exact at any width.
+t_mine(P, 1, k) is ranked_list(P, k), so the main index serves it.  A t
+above the longest document has no answer.  Any other t >= 2 asks the main
+core for the k highest ranks that occur at least t times in P's slot range
+[a, b] (_SparseCore.topk_ranks with t): it counts the range's own ranks, a
+slot per occurrence, so its answer is exact at any width and every t.
 
 The paper answers t >= 2 from per-t anchor arrays (every t-th
 occurrence slot of each document, indexed for top-K); this index builds
 no per-t structure.  A sweep of both paths on the docs benchmark corpus,
 at suffix widths up to 52k (BENCH_tmine_scan.json), found the scan ten
 times faster in the median and its summed time within 2 % of the cheaper
-path's, so the anchors were not worth their space.  t_values names the
-thresholds t_mine accepts.
+path's, so the anchors were not worth their space.
 
 RangeHeapMerger combines the streams of several pairwise disjoint ranges
 into one descending (priority, color) order without de-duplicating across
@@ -52,7 +51,6 @@ from .errors import (
     MissingPriority,
     OverlappingRanges,
     SeparatorInContent,
-    UnsupportedT,
 )
 from .model import INT64_MAX, INT64_MIN, ColorArray, ColorList, check_range
 from .online import open_stream
@@ -229,14 +227,11 @@ class DocumentIndex:
     weights maps document index to an integer priority (bigger means more
     relevant); ties between equally weighted documents break toward the
     larger document index.  A missing weight raises MissingPriority, and one
-    that is not an integer (numpy's are) BadParameter.  t_values lists the
-    occurrence thresholds t_mine accepts; the default is every power of two
-    up to the longest document.  t_mine raises UnsupportedT for a t that is
-    not in t_values.
+    that is not an integer (numpy's are) BadParameter.  t_mine answers every
+    occurrence threshold t >= 1.
     """
 
-    def __init__(self, collection: DocumentCollection, weights,
-                 t_values=None):
+    def __init__(self, collection: DocumentCollection, weights):
         self.collection = collection
         s = collection.num_docs
         self.weights = {}
@@ -252,16 +247,6 @@ class DocumentIndex:
             raise BadParameter(
                 f"weights must lie in [{INT64_MIN + 1}, {INT64_MAX}]"
             )
-        if t_values is None:
-            # every power of two up to the longest document
-            t_values = [1 << i
-                        for i in range(collection.max_doc_len.bit_length())]
-        try:
-            self.t_values = sorted({operator.index(t) for t in t_values})
-        except TypeError as exc:
-            raise BadParameter(f"thresholds must be integers: {exc}") from None
-        if self.t_values and self.t_values[0] < 1:
-            raise BadParameter(f"threshold {self.t_values[0]} must be >= 1")
         self.suffix_array = build_suffix_array(collection.text)
         # the owner of every text position, the dummy s on separators
         lengths = [len(d) + 1 for d in collection.docs]
@@ -323,10 +308,6 @@ class DocumentIndex:
         p = _check_pattern(pattern)
         if t > self.collection.max_doc_len:
             return ColorList([])
-        if t not in self.t_values:
-            raise UnsupportedT(
-                f"t={t} not in t_values {self.t_values}"
-            )
         if t == 1:
             return self.ranked_list(p, k)
         rng = self.pattern_range(p)

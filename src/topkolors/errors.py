@@ -43,7 +43,8 @@ class SeparatorInContent(TopKError):
 
 
 class UnsupportedT(TopKError):
-    """t-mine was asked for a t value not in the index's t_values."""
+    """Kept importable for callers that catch it; nothing raises it any
+    more, since t_mine answers every t >= 1."""
 
 
 class OverlappingRanges(TopKError):

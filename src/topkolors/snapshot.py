@@ -30,7 +30,13 @@ import numpy as np
 
 from .chunked import ChunkedTopK
 from .docs import DocumentCollection, DocumentIndex
-from .errors import BadParameter, ParseError, SnapshotCorrupt
+from .errors import (
+    BadParameter,
+    EmptyArray,
+    ParseError,
+    SeparatorInContent,
+    SnapshotCorrupt,
+)
 from .model import ColorArray, new_color_array
 from .optimal import OptimalTopK
 from .sparse import SparseTopK
@@ -149,12 +155,8 @@ def save_index(path: str, index) -> None:
     if kind is None:
         raise ParseError(f"cannot snapshot object of type {type(index).__name__}")
     if kind == "docs":
-        params = {
-            "weights": [index.weights[j]
-                        for j in range(index.collection.num_docs)],
-            "t_values": index.t_values,
-        }
-        meta = {"kind": kind, "params": params}
+        weights = [index.weights[j] for j in range(index.collection.num_docs)]
+        meta = {"kind": kind, "params": {"weights": weights}}
         payload = _docs_payload(index.collection.docs)
     else:
         arr = index.arr
@@ -218,20 +220,18 @@ def load_index(path: str):
     if not isinstance(params, dict):
         raise SnapshotCorrupt("meta params is not a JSON object")
     if kind == "docs":
-        docs = _docs_from_payload(sections[1])
-        coll = DocumentCollection(docs)
+        # older snapshots also list occurrence thresholds; they are ignored
         weights = _int_list(params, "weights")
-        if len(weights) != coll.num_docs:
-            raise SnapshotCorrupt(
-                f"{len(weights)} weights for {coll.num_docs} documents"
-            )
-        t_values = _int_list(params, "t_values")
         try:
-            index = DocumentIndex(coll, dict(enumerate(weights)),
-                                  t_values=t_values)
-        except BadParameter as exc:
-            # save_index only writes params the constructor accepts
-            raise SnapshotCorrupt(f"docs params rejected: {exc}") from exc
+            # save_index only writes documents and weights these accept
+            coll = DocumentCollection(_docs_from_payload(sections[1]))
+            if len(weights) != coll.num_docs:
+                raise SnapshotCorrupt(
+                    f"{len(weights)} weights for {coll.num_docs} documents"
+                )
+            index = DocumentIndex(coll, dict(enumerate(weights)))
+        except (BadParameter, EmptyArray, SeparatorInContent) as exc:
+            raise SnapshotCorrupt(f"docs snapshot rejected: {exc}") from exc
         return kind, index
     arr = _array_from_payload(meta, sections[1])
     return kind, KINDS[kind](arr, **_array_kwargs(kind, params))

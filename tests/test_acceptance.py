@@ -323,7 +323,7 @@ def test_criterion_6_document_retrieval_oracle_equivalence():
         weights = {j: int(w) for j, w in
                    enumerate(rng.integers(0, 3 * s, size=s))}
         coll = DocumentCollection(docs)
-        dix = DocumentIndex(coll, weights, t_values=[1, 2, 4, 8])
+        dix = DocumentIndex(coll, weights)
         for _ in range(125):
             if rng.random() < 0.5:
                 doc = docs[int(rng.integers(0, s))]

@@ -69,15 +69,16 @@ def test_array_snapshot_round_trip(tmp_path, make):
 
 def test_docs_snapshot_round_trip(tmp_path):
     coll = DocumentCollection(["ababab", "abba", "bb"])
-    index = DocumentIndex(coll, {0: 2, 1: 6, 2: 4}, t_values=[1, 2, 3])
+    index = DocumentIndex(coll, {0: 2, 1: 6, 2: 4})
     path = str(tmp_path / "docs.bin")
     save_index(path, index)
     kind, loaded = load_index(path)
     assert kind == "docs"
     assert loaded.collection.docs == coll.docs
-    assert loaded.t_values == [1, 2, 3]
+    assert loaded.weights == index.weights
     assert loaded.ranked_list("ab", 3) == index.ranked_list("ab", 3)
-    assert loaded.t_mine("ab", 2, 2) == index.t_mine("ab", 2, 2)
+    for t in (2, 3):
+        assert loaded.t_mine("ab", t, 2) == index.t_mine("ab", t, 2)
 
 
 def test_snapshot_bytes_are_stable(tmp_path):
@@ -183,6 +184,54 @@ def test_cli_docs_flow(tmp_path, capsys):
     assert "#stat num_docs=3\n" in out
 
     assert cli.main(["verify", "--snapshot", snap, "--trials", "40"]) == 0
+
+
+def test_cli_query_t_three_matches_naive(tmp_path, capsys):
+    corpus = "3 2 6 4\nababab\nabba\nbb\n"
+    coll, weights = parse_corpus_text(corpus)
+    snap = str(tmp_path / "docs.snap")
+    assert cli.main(["build", "--kind", "docs", "--input",
+                     write(tmp_path, "corpus.txt", corpus),
+                     "--output", snap]) == 0
+    capsys.readouterr()
+    assert cli.main(["query", "--snapshot", snap,
+                     "--pattern", "ab", "--t", "3"]) == 0
+    want = naive_t_mine(coll, weights, "ab", 3, 1)
+    assert want == [(0, 2)]
+    assert capsys.readouterr().out == "".join(f"({c},{p})\n" for c, p in want)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["query", "--range", "1", "8", "2", "--t", "3"],
+        ["query", "--range", "1", "8", "2", "--k", "7"],
+        ["query", "--range", "1", "8", "2", "--t", "3", "--k", "7"],
+        ["build", "--kind", "optimal", "--f", "9"],
+        ["build", "--kind", "chunked", "--f", "2"],
+        ["build", "--kind", "wavelet", "--f", "3"],
+        ["build", "--kind", "docs", "--f", "2"],
+    ],
+    ids=["range-t", "range-k", "range-t-k", "optimal-f", "chunked-f",
+         "wavelet-f", "docs-f"],
+)
+def test_flags_that_do_not_apply_are_bad_parameters(tmp_path, capsys, argv):
+    inp = write(tmp_path, "arr.txt", CANON_TEXT)
+    snap = str(tmp_path / "arr.snap")
+    assert cli.main(["build", "--kind", "sparse", "--input", inp,
+                     "--output", snap]) == 0
+    capsys.readouterr()
+    out = str(tmp_path / "out.snap")
+    if argv[0] == "query":
+        argv = argv[:1] + ["--snapshot", snap] + argv[1:]
+    else:
+        argv = argv + ["--input", inp, "--output", out]
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert not os.path.exists(out)
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -394,7 +443,7 @@ def test_hostile_array_snapshot_is_corrupt(tmp_path, capsys, meta_edit,
     assert err.startswith("error: ")
 
 
-DOCS_PARAMS = {"weights": [3, 9, 5], "t_values": [1, 2]}
+DOCS_PARAMS = {"weights": [3, 9, 5]}
 
 
 def docs_meta(**edit):
@@ -418,10 +467,6 @@ def docs_meta(**edit):
         ("docs", docs_meta(weights=[3, 9])),
         ("docs", docs_meta(weights=[3, 9, 5, 1])),
         ("docs", docs_meta(weights=[3, -(2**63), 5])),
-        ("docs", docs_meta(t_values=None)),
-        ("docs", docs_meta(t_values=[1, "x"])),
-        ("docs", docs_meta(t_values=[0, 1])),
-        ("docs", docs_meta(t_values=2)),
         ("docs", ["docs", DOCS_PARAMS]),
         ("docs", {"kind": "docs", "params": [DOCS_PARAMS]}),
         ("sparse", ["sparse", {"f": 2}]),
@@ -439,16 +484,14 @@ def docs_meta(**edit):
     ],
     ids=["no-weights", "string-weights", "string-weight", "float-weight",
          "bool-weight", "short-weights", "long-weights", "int64-min-weight",
-         "no-t-values",
-         "string-t", "zero-t", "int-t-values", "list-meta-docs",
+         "list-meta-docs",
          "list-params", "list-meta-sparse", "no-f", "string-f", "float-f",
          "f-one", "no-override", "string-override", "float-override",
          "bool-override"],
 )
 def test_hostile_snapshot_params_are_corrupt(tmp_path, capsys, kind, meta):
     if kind == "docs":
-        payload = b"".join(len(d).to_bytes(4, "little") + d
-                           for d in (b"abab", b"bab", b"ca"))
+        payload = docs_payload(b"abab", b"bab", b"ca")
         query = ["--pattern", "ab", "--k", "2"]
     else:
         arr = canon()
@@ -460,6 +503,54 @@ def test_hostile_snapshot_params_are_corrupt(tmp_path, capsys, kind, meta):
                                     [json.dumps(meta).encode(), payload]))
     assert cli.main(["stats", "--snapshot", str(snap)]) == 5
     assert cli.main(["query", "--snapshot", str(snap)] + query) == 5
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ")
+
+
+def docs_payload(*docs):
+    return b"".join(len(d).to_bytes(4, "little") + d for d in docs)
+
+
+@pytest.mark.parametrize(
+    "t_values",
+    [None, [1, "x"], [0, 1], 2, [2, 4]],
+    ids=["no-t-values", "string-t", "zero-t", "int-t-values", "t-two-four"],
+)
+def test_docs_snapshot_thresholds_are_ignored(tmp_path, capsys, t_values):
+    # older docs snapshots listed the thresholds t_mine accepted; whatever
+    # they list, the loaded index answers every t
+    meta = docs_meta() if t_values is None else docs_meta(t_values=t_values)
+    snap = tmp_path / "old.snap"
+    snap.write_bytes(_pack_sections(KIND_BYTES["docs"], [
+        json.dumps(meta).encode(), docs_payload(b"abab", b"bab", b"ca")]))
+    coll, weights = parse_corpus_text(CORPUS_TEXT)
+    _, loaded = load_index(str(snap))
+    for p in ("a", "ab", "b", "ca"):
+        for t in range(1, coll.max_doc_len + 2):
+            assert loaded.t_mine(p, t, 3) == naive_t_mine(
+                coll, weights, p, t, 3), (p, t)
+    assert cli.main(["query", "--snapshot", str(snap),
+                     "--pattern", "ab", "--t", "1", "--k", "2"]) == 0
+    assert capsys.readouterr().out == "(1,9)\n(0,3)\n"
+
+
+@pytest.mark.parametrize(
+    "docs, weights",
+    [([b"abab", b"", b"ca"], [3, 9, 5]),
+     ([b"abab", b"b\x00b", b"ca"], [3, 9, 5]),
+     ([], [])],
+    ids=["empty-document", "separator-in-document", "no-documents"],
+)
+def test_docs_payload_no_collection_accepts_is_corrupt(tmp_path, capsys, docs,
+                                                       weights):
+    snap = tmp_path / "bad.snap"
+    snap.write_bytes(_pack_sections(KIND_BYTES["docs"], [
+        json.dumps({"kind": "docs", "params": {"weights": weights}}).encode(),
+        docs_payload(*docs)]))
+    assert cli.main(["stats", "--snapshot", str(snap)]) == 5
+    assert cli.main(["query", "--snapshot", str(snap),
+                     "--pattern", "ab", "--k", "2"]) == 5
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("error: ")
@@ -500,7 +591,7 @@ FUZZ_KINDS = ("optimal", "sparse", "chunked", "docs")
 def valid_sections(kind):
     """Meta dict and payload of a small snapshot that save_index wrote."""
     if kind == "docs":
-        index = DocumentIndex(*parse_corpus_text(CORPUS_TEXT), t_values=[1, 2])
+        index = DocumentIndex(*parse_corpus_text(CORPUS_TEXT))
     else:
         index = {"optimal": OptimalTopK, "sparse": SparseTopK,
                  "chunked": ChunkedTopK}[kind](canon())
@@ -576,7 +667,17 @@ def test_fuzzed_snapshots_exit_with_documented_codes(case):
             assert "Traceback" not in err.getvalue()
 
 
-# a docs snapshot listing t = 1, written when t = 1 still had an anchor set
+# the docs format: weights in the meta, documents length-prefixed; save_index
+# must reproduce these bytes exactly
+DOCS_BLOB = bytes.fromhex(
+    "544b534e41500105320000007b226b696e64223a2022646f6373222c2022706172616d"
+    "73223a207b2277656967687473223a205b322c20362c20345d7d7d1800000006000000"
+    "61626162616204000000616262610200000062620dc2e8f6"
+)
+
+
+# a docs snapshot listing t = 1, 2, 3, written when t = 1 still had an
+# anchor set and the index accepted only the thresholds it listed
 DOCS_BLOB_T123 = bytes.fromhex(
     "544b534e41500105490000007b226b696e64223a2022646f6373222c2022706172616d"
     "73223a207b22745f76616c756573223a205b312c20322c20335d2c2022776569676874"
@@ -635,20 +736,30 @@ def test_array_snapshot_bytes_are_pinned(tmp_path, kind):
                 assert loaded.topk(a, b, k) == oracle_topk(arr, a, b, k)
 
 
-def test_docs_snapshot_listing_t_one_answers_from_main_index(tmp_path):
+def test_docs_snapshot_bytes_are_pinned(tmp_path):
     coll = DocumentCollection(["ababab", "abba", "bb"])
     weights = {0: 2, 1: 6, 2: 4}
     path = str(tmp_path / "docs.bin")
-    save_index(path, DocumentIndex(coll, weights, t_values=[1, 2, 3]))
-    assert open(path, "rb").read() == DOCS_BLOB_T123
-    open(path, "wb").write(DOCS_BLOB_T123)
-    _, loaded = load_index(path)
-    assert loaded.t_values == [1, 2, 3]
-    for p in ("a", "ab", "b", "bb", "ba", "abab"):
-        for t in (1, 2, 3):
-            for k in (1, 3):
-                assert loaded.t_mine(p, t, k) == naive_t_mine(
-                    coll, weights, p, t, k)
+    save_index(path, DocumentIndex(coll, weights))
+    assert open(path, "rb").read() == DOCS_BLOB
+    # the old format differs only in its meta: the same payload section
+    assert DOCS_BLOB[-32:-4] == DOCS_BLOB_T123[-32:-4]
+
+
+def test_docs_snapshot_listing_t_one_answers_from_main_index(tmp_path):
+    coll = DocumentCollection(["ababab", "abba", "bb"])
+    weights = {0: 2, 1: 6, 2: 4}
+    for blob in (DOCS_BLOB_T123, DOCS_BLOB):
+        path = tmp_path / "docs.bin"
+        path.write_bytes(blob)
+        kind, loaded = load_index(str(path))
+        assert kind == "docs" and loaded.weights == weights
+        # t = 4 was never listed in DOCS_BLOB_T123
+        for p in ("a", "ab", "b", "bb", "ba", "abab"):
+            for t in (1, 2, 3, 4):
+                for k in (1, 3):
+                    assert loaded.t_mine(p, t, k) == naive_t_mine(
+                        coll, weights, p, t, k), (p, t, k)
 
 
 @pytest.mark.parametrize("kind, f", [("wavelet", None), ("sparse", 3),

@@ -1,10 +1,12 @@
 import array
+import functools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import topkolors
 from topkolors import docs as docs_module
 from topkolors.docs import (
     DocumentCollection,
@@ -23,7 +25,6 @@ from topkolors.errors import (
     MissingPriority,
     OverlappingRanges,
     SeparatorInContent,
-    UnsupportedT,
 )
 from topkolors.model import new_color_array, oracle_topk
 from topkolors.optimal import OptimalTopK
@@ -69,36 +70,20 @@ def test_ranked_list_three_docs():
 def test_t_mine_worked_example():
     coll = DocumentCollection(["ababab", "abba"])
     ix = DocumentIndex(coll, {0: 2, 1: 6})
-    assert ix.t_values == [1, 2, 4]
     assert ix.t_mine("ab", 1, 2) == [(1, 6), (0, 2)]
     assert ix.t_mine("ab", 2, 5) == [(0, 2)]
+    # "ababab" holds "ab" three times: a t that is no power of two
+    assert ix.t_mine("ab", 3, 2) == [(0, 2)]
     assert ix.t_mine("ab", 4, 5) == []
     assert ix.t_mine("b", 2, 5) == [(1, 6), (0, 2)]
-    # above every document length: trivially empty, no threshold needed
+    # above every document length: trivially empty
     assert ix.t_mine("ab", 7, 1) == []
-    with pytest.raises(UnsupportedT):
-        ix.t_mine("ab", 3, 1)
 
 
-def test_custom_t_values():
-    coll = DocumentCollection(["ababab", "abba"])
-    ix = DocumentIndex(coll, {0: 2, 1: 6}, t_values=[1, 3])
-    assert ix.t_mine("ab", 3, 2) == [(0, 2)]
-    with pytest.raises(UnsupportedT):
-        ix.t_mine("ab", 2, 1)
-    with pytest.raises(BadParameter):
-        DocumentIndex(coll, {0: 2, 1: 6}, t_values=[0])
-
-
-def test_bad_t_values_raise_before_anything_is_built(monkeypatch):
-    def fail(text):
-        raise AssertionError("suffix array built before t_values were checked")
-
-    monkeypatch.setattr(docs_module, "build_suffix_array", fail)
-    coll = DocumentCollection(["abab", "ba"])
-    for t_values in (["x"], [None], [1.5], [2, 0], [-3], 4):
-        with pytest.raises(BadParameter):
-            DocumentIndex(coll, {0: 2, 1: 6}, t_values=t_values)
+def test_unsupported_t_stays_importable():
+    # nothing raises it any more; callers that catch it still import it
+    assert "UnsupportedT" in topkolors.__all__
+    assert issubclass(topkolors.UnsupportedT, topkolors.TopKError)
 
 
 def test_input_validation():
@@ -192,7 +177,7 @@ def test_t_mine_matches_naive_exhaustive():
         weights = {j: int(w) for j, w in enumerate(rng.permutation(s) * 3)}
         ix = DocumentIndex(coll, weights)
         for p in all_patterns(coll, 2):
-            for t in ix.t_values:
+            for t in range(1, coll.max_doc_len + 2):
                 for k in (1, 3, 8, 16, 1024):
                     got = ix.t_mine(p, t, k)
                     assert got == naive_t_mine(coll, weights, p, t, k), (
@@ -226,29 +211,26 @@ def test_t_mine_scans_the_range_past_the_main_core_scan_width(monkeypatch,
 
     # t_mine's work runs in topk_ranks, the core method the tracer times
     monkeypatch.setattr(_SparseCore, "topk_ranks", spy)
+    # naive_t_mine counts each document once per pattern, not once per t
+    monkeypatch.setattr(coll, "count_occurrences",
+                        functools.cache(coll.count_occurrences))
     past = set()
     for p in (b"a", b"b", b"ab", b"bab", b"abba", b"aabab"):
         a, b = ix.pattern_range(p)
-        for t in ix.t_values[1:]:
+        for t in range(1, coll.max_doc_len + 2):
             for k in (1, 16, 1024):
                 past.add(b - a >= core.scan_width(k))
                 calls.clear()
                 core_paths.clear()
                 assert ix.t_mine(p, t, k) == naive_t_mine(
                     coll, weights, p, t, k), (p, t, k)
-                assert calls == [(core, a, b, k, t)]
-                assert core_paths == [("_scan", core, a, b)]
+                if t > coll.max_doc_len:
+                    assert calls == []
+                elif t > 1:
+                    assert calls == [(core, a, b, k, t)]
+                    assert core_paths == [("_scan", core, a, b)]
     # ranked_list would descend on some of these ranges, not on others
     assert past == {True, False}
-
-
-def test_unbuilt_t_is_unsupported_on_a_scanned_range():
-    coll, weights, _ = wide_index(41)
-    ix = DocumentIndex(coll, weights, t_values=[1, 2, 4])
-    for t in (3, 8):
-        with pytest.raises(UnsupportedT):
-            ix.t_mine(b"abba", t, 16)
-    assert ix.t_mine(b"abba", 4, 16) == naive_t_mine(coll, weights, b"abba", 4, 16)
 
 
 def test_non_integer_k_and_t_are_bad_parameter():
@@ -379,7 +361,7 @@ def test_narrow_patterns_match_naive(core_paths):
             docs[j] += m
     coll = DocumentCollection([bytes(d) for d in docs])
     weights = {j: int(w) for j, w in enumerate(rng.integers(0, 50, 300))}
-    ix = DocumentIndex(coll, weights, t_values=[1, 2])
+    ix = DocumentIndex(coll, weights)
     core = ix.index._global
     assert 1 << core.levels[1] == 64
     for occ, p in markers.items():
@@ -446,17 +428,11 @@ def test_t_mine_one_is_ranked_list():
         coll = random_collection(rng, 12, 16, b"abc")
         weights = {j: int(w) for j, w in enumerate(rng.integers(0, 5, 12))}
         ix = DocumentIndex(coll, weights)
-        assert 1 in ix.t_values
         for p in all_patterns(coll, 2):
             for k in (1, 3, 12):
                 got = ix.t_mine(p, 1, k)
                 assert got == ix.ranked_list(p, k)
                 assert got == naive_t_mine(coll, weights, p, 1, k)
-    ix = DocumentIndex(DocumentCollection(["ababab", "abba"]), {0: 2, 1: 6},
-                       t_values=[2, 4])
-    with pytest.raises(UnsupportedT):
-        ix.t_mine("ab", 1, 1)
-    assert ix.t_mine("ab", 2, 2) == [(0, 2)]
 
 
 def test_slot_colors_are_the_suffix_owners():
