@@ -186,20 +186,16 @@ def _cmd_stats(args) -> int:
     if kind == "docs":
         lines["num_docs"] = index.collection.num_docs
         lines["text_bytes"] = index.collection.n
-        lines["n"] = index.arr.n
-        lines["sigma"] = index.arr.sigma
-    else:
-        lines["n"] = index.arr.n
-        lines["sigma"] = index.arr.sigma
+    lines["n"] = index.arr.n
+    lines["sigma"] = index.arr.sigma
     lines["measured_bits"] = bits
-    denom = index.arr.n
-    lines["bits_per_element"] = f"{bits / denom:.2f}"
+    lines["bits_per_element"] = f"{bits / index.arr.n:.2f}"
     if kind == "sparse":
         lines["f"] = index.f
         lines["levels"] = ",".join(str(v) for v in index.core.levels)
     lines["rank_bits"] = 8 * index.arr.ranks.itemsize
-    # the main core for docs; WaveletTopK has none and scans no range
-    core = index.index.core if kind == "docs" else getattr(index, "core", None)
+    # WaveletTopK has no core and scans no range
+    core = getattr(index, "core", None)
     for k in (1, 16, 1024):
         lines[f"scan_width_k{k}"] = core.scan_width(k) if core else 0
     for key, value in lines.items():

@@ -17,11 +17,13 @@ suffix ranked by the order position where its group starts (Larsson and
 Sadakane, "Faster suffix sorting", TCS 2007).  The slot colors are one
 gather through it of the owner of every text position.
 
-t_mine(P, 1, k) is ranked_list(P, k), so the main index serves it.  A t
-above the longest document has no answer.  Any other t >= 2 asks the main
-core for the k highest ranks that occur at least t times in P's slot range
-[a, b] (_SparseCore.topk_ranks with t): it counts the range's own ranks, a
-slot per occurrence, so its answer is exact at any width and every t.
+ranked_list(P, k) is t_mine(P, 1, k), and every t goes to the index's one
+sparse core on its fitted level set (the core OptimalTopK builds), for the
+k highest ranks that occur at least t times in P's slot range [a, b]
+(_SparseCore.topk_ranks with t).  At t = 1 the core scans or descends by
+its width rule; at t >= 2 it counts the range's own ranks, a slot per
+occurrence, so its answer is exact at any width.  A t above the longest
+document has no answer.
 
 The paper answers t >= 2 from per-t anchor arrays (every t-th
 occurrence slot of each document, indexed for top-K); this index builds
@@ -48,13 +50,20 @@ import numpy as np
 from .errors import (
     BadParameter,
     EmptyArray,
-    MissingPriority,
+    InvalidRange,
     OverlappingRanges,
     SeparatorInContent,
 )
-from .model import INT64_MAX, INT64_MIN, ColorArray, ColorList, check_range
+from .model import (
+    INT64_MAX,
+    INT64_MIN,
+    ColorArray,
+    ColorList,
+    check_range,
+    read_table,
+)
 from .online import open_stream
-from .optimal import OptimalTopK
+from .sparse import _SparseCore, fitted_levels
 from .util import nbits
 
 SEPARATOR = 0
@@ -185,15 +194,17 @@ class DocumentCollection:
 
     def count_occurrences(self, doc_index: int, pattern: bytes) -> int:
         """Direct-scan occurrence count, used as a test oracle."""
-        d = self.docs[doc_index]
-        p = _as_bytes(pattern)
-        count = start = 0
-        while True:
-            i = d.find(p, start)
-            if i < 0:
-                return count
-            count += 1
-            start = i + 1
+        return len(_starts(self.docs[doc_index], _as_bytes(pattern)))
+
+
+def _starts(d: bytes, p: bytes) -> list[int]:
+    """Every offset where p occurs in d, overlapping ones too."""
+    out = []
+    i = d.find(p)
+    while i >= 0:
+        out.append(i)
+        i = d.find(p, i + 1)
+    return out
 
 
 def _check_pattern(pattern) -> bytes:
@@ -224,26 +235,22 @@ def _positive(name: str, v) -> int:
 class DocumentIndex:
     """Suffix-backed weighted retrieval over a document collection.
 
-    weights maps document index to an integer priority (bigger means more
-    relevant); ties between equally weighted documents break toward the
-    larger document index.  A missing weight raises MissingPriority, and one
-    that is not an integer (numpy's are) BadParameter.  t_mine answers every
-    occurrence threshold t >= 1.
+    weights[j] is document j's integer priority (bigger means more
+    relevant), from a mapping or a sequence read by index; ties between
+    equally weighted documents break toward the larger document index.  A
+    missing weight raises MissingPriority, and weights that cannot be
+    indexed or one that is not an integer (numpy's are) BadParameter.
+    t_mine answers every occurrence threshold t >= 1 from the one core.
     """
 
     def __init__(self, collection: DocumentCollection, weights):
         self.collection = collection
         s = collection.num_docs
-        self.weights = {}
-        for j in range(s):
-            try:
-                w = weights[j]
-            except LookupError as exc:
-                raise MissingPriority(f"document {j} has no weight") from exc
-            self.weights[j] = _integer(f"weight of document {j}", w)
-        dummy_prio = min(self.weights.values()) - 1
+        w = read_table(weights, s, "document", "weight")
+        self.weights = dict(enumerate(w))
+        dummy_prio = min(w) - 1
         # the separator dummy sorts one below the smallest weight
-        if dummy_prio < INT64_MIN or max(self.weights.values()) > INT64_MAX:
+        if dummy_prio < INT64_MIN or max(w) > INT64_MAX:
             raise BadParameter(
                 f"weights must lie in [{INT64_MIN + 1}, {INT64_MAX}]"
             )
@@ -253,12 +260,9 @@ class DocumentIndex:
         owner = np.repeat(np.arange(s, dtype=np.int32), lengths)
         owner[np.cumsum(lengths) - 1] = s
         colors = owner[self.suffix_array]
-        prio = np.asarray(
-            [self.weights[j] for j in range(s)] + [dummy_prio],
-            dtype=np.int64,
-        )
-        self.arr = ColorArray(colors, prio)
-        self.index = OptimalTopK(self.arr)
+        arr = self.arr = ColorArray(
+            colors, np.array(w + [dummy_prio], dtype=np.int64))
+        self.core = _SparseCore(arr, fitted_levels(arr.n, arr.sigma))
 
     @property
     def n(self) -> int:
@@ -295,11 +299,7 @@ class DocumentIndex:
 
     def ranked_list(self, pattern, k: int) -> ColorList:
         """The k highest-weight documents containing the pattern."""
-        k = _positive("k", k)
-        rng = self.pattern_range(pattern)
-        if rng is None:
-            return ColorList([])
-        return self.index.topk(rng[0], rng[1], k)
+        return self.t_mine(pattern, 1, k)
 
     def t_mine(self, pattern, t: int, k: int) -> ColorList:
         """The k highest-weight documents with >= t pattern occurrences."""
@@ -308,18 +308,16 @@ class DocumentIndex:
         p = _check_pattern(pattern)
         if t > self.collection.max_doc_len:
             return ColorList([])
-        if t == 1:
-            return self.ranked_list(p, k)
         rng = self.pattern_range(p)
         if rng is None:
             return ColorList([])
-        return self.arr.list_from_ranks(self.index.core.topk_ranks(*rng, k, t))
+        return self.arr.list_from_ranks(self.core.topk_ranks(*rng, k, t))
 
     def measured_bits(self) -> int:
         """Bits of every array the index holds, each counted once; the
         collection it was built over is the caller's."""
         return (nbits(self.suffix_array) + _color_array_bits(self.arr)
-                + self.index.measured_bits())
+                + self.core.measured_bits())
 
 
 def _color_array_bits(arr: ColorArray) -> int:
@@ -328,26 +326,15 @@ def _color_array_bits(arr: ColorArray) -> int:
 
 def naive_ranked_list(collection, weights, pattern, k):
     """Direct-scan reference for ranked_list."""
-    p = _as_bytes(pattern)
-    hits = [
-        (j, int(weights[j]))
-        for j in range(collection.num_docs)
-        if collection.count_occurrences(j, p) >= 1
-    ]
-    hits.sort(key=lambda e: (e[1], e[0]), reverse=True)
-    return hits[:k]
+    return naive_t_mine(collection, weights, pattern, 1, k)
 
 
 def naive_t_mine(collection, weights, pattern, t, k):
     """Direct-scan reference for t_mine."""
     p = _as_bytes(pattern)
-    hits = [
-        (j, int(weights[j]))
-        for j in range(collection.num_docs)
-        if collection.count_occurrences(j, p) >= t
-    ]
-    hits.sort(key=lambda e: (e[1], e[0]), reverse=True)
-    return hits[:k]
+    hits = [(j, int(weights[j])) for j in range(collection.num_docs)
+            if collection.count_occurrences(j, p) >= t]
+    return sorted(hits, key=lambda e: (e[1], e[0]), reverse=True)[:k]
 
 
 def relevance_weights(collection, pattern, metric: str = "freq"):
@@ -356,26 +343,20 @@ def relevance_weights(collection, pattern, metric: str = "freq"):
     freq: occurrence count.  mindist: how tightly the two closest
     occurrences sit together, scored as max_doc_len + 1 - gap so that
     closer pairs weigh more; documents with fewer than two occurrences
-    score 0.
+    score 0.  An empty pattern, or one holding the separator, is
+    refused as every pattern query refuses it.
     """
-    p = _as_bytes(pattern)
+    if metric not in ("freq", "mindist"):
+        raise BadParameter(f"unknown metric {metric!r}")
+    p = _check_pattern(pattern)
     out = {}
     for j, d in enumerate(collection.docs):
-        starts = []
-        i = d.find(p)
-        while i >= 0:
-            starts.append(i)
-            i = d.find(p, i + 1)
+        starts = _starts(d, p)
         if metric == "freq":
             out[j] = len(starts)
-        elif metric == "mindist":
-            if len(starts) < 2:
-                out[j] = 0
-            else:
-                gap = min(y - x for x, y in zip(starts, starts[1:]))
-                out[j] = collection.max_doc_len + 1 - gap
         else:
-            raise BadParameter(f"unknown metric {metric!r}")
+            gaps = [y - x for x, y in zip(starts, starts[1:])]
+            out[j] = collection.max_doc_len + 1 - min(gaps) if gaps else 0
     return out
 
 
@@ -390,7 +371,10 @@ class RangeHeapMerger:
 
     def __init__(self, index, ranges):
         self.index = index
-        self.ranges = [check_range(index.n, a, b)[:2] for a, b in ranges]
+        try:
+            self.ranges = [check_range(index.n, a, b)[:2] for a, b in ranges]
+        except (TypeError, ValueError):  # not an iterable of pairs
+            raise InvalidRange("ranges must be (a, b) pairs") from None
         ordered = sorted(self.ranges)
         for (_, b1), (a2, _) in zip(ordered, ordered[1:]):
             if b1 >= a2:

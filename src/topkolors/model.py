@@ -165,16 +165,34 @@ class ColorArray:
         return f"ColorArray(n={self.n}, sigma={self.sigma})"
 
 
+def read_table(table, count: int, item: str, name: str) -> list[int]:
+    """[table[i] for i in range(count)] as ints, from a mapping or a
+    sequence read by index, numpy's too.  A missing entry raises
+    MissingPriority; a table that cannot be indexed, or an entry that is not
+    an integer (numpy's are), BadParameter."""
+    out = []
+    try:
+        for i in range(count):
+            out.append(operator.index(table[i]))
+    except LookupError:
+        raise MissingPriority(f"{item} {i} has no {name}") from None
+    except TypeError:
+        raise BadParameter(f"{name} of {item} {i} is not an integer: "
+                           f"{type(table).__name__}[{i}]") from None
+    return out
+
+
 def new_color_array(
-    colors: Sequence[int], priorities: Mapping[int, int]
+    colors: Sequence[int], priorities: Mapping[int, int] | Sequence[int]
 ) -> ColorArray:
     """Validate raw colors and priorities and build a ColorArray.
 
     The distinct colors appearing in `colors` must be exactly 0..sigma-1 and
-    each must have a priority entry.  Raises EmptyArray, MissingPriority,
-    ColorOutOfRange for color ids that are not integers in 0..sigma-1 or
-    not one flat sequence, or BadParameter for a priority that is not an
-    integer (numpy's are) or lies outside int64.
+    each must have a priority, priorities[c]: a mapping or a sequence read
+    by index.  Raises EmptyArray, MissingPriority, ColorOutOfRange for
+    color ids that are not integers in 0..sigma-1 or not one flat sequence,
+    or BadParameter for priorities that cannot be indexed or a priority
+    that is not an integer (numpy's are) or lies outside int64.
     """
     try:
         arr = np.asarray(colors)
@@ -198,19 +216,11 @@ def new_color_array(
             f"distinct colors must be exactly 0..{sigma - 1}, "
             f"found id {int(distinct[-1])}"
         )
-    prio = np.empty(sigma, dtype=np.int64)
-    for c in range(sigma):
-        if c not in priorities:
-            raise MissingPriority(f"color {c} has no priority")
-        try:
-            p = operator.index(priorities[c])
-        except TypeError:
-            raise BadParameter(f"priority of color {c} is not an integer, "
-                               f"got {priorities[c]!r}") from None
+    prio = read_table(priorities, sigma, "color", "priority")
+    for c, p in enumerate(prio):
         if not INT64_MIN <= p <= INT64_MAX:
             raise BadParameter(f"priority {p} of color {c} is outside int64")
-        prio[c] = p
-    return ColorArray(arr, prio)
+    return ColorArray(arr, np.array(prio, dtype=np.int64))
 
 
 def oracle_topk(arr: ColorArray, a: int, b: int, k: int) -> ColorList:
@@ -233,8 +243,13 @@ def oracle_distinct_count(arr: ColorArray, a: int, b: int) -> int:
 
 def prank(c: int, priorities: Mapping[int, int]) -> int:
     """1-based rank of color c inside the given set: the number of colors
-    whose effective priority is <= that of c (ties broken by color id)."""
+    whose effective priority is <= that of c (ties broken by color id).
+    A color or priority that is not an integer is a BadParameter."""
     if c not in priorities:
         raise ColorNotInSet(f"color {c} not in set")
-    key = (int(priorities[c]), int(c))
-    return sum(1 for c2, p2 in priorities.items() if (int(p2), int(c2)) <= key)
+    try:
+        key = (operator.index(priorities[c]), operator.index(c))
+        return sum((operator.index(p), operator.index(c2)) <= key
+                   for c2, p in priorities.items())
+    except TypeError:
+        raise BadParameter("colors and priorities must be integers") from None

@@ -229,7 +229,7 @@ def load_index(path: str):
                 raise SnapshotCorrupt(
                     f"{len(weights)} weights for {coll.num_docs} documents"
                 )
-            index = DocumentIndex(coll, dict(enumerate(weights)))
+            index = DocumentIndex(coll, weights)
         except (BadParameter, EmptyArray, SeparatorInContent) as exc:
             raise SnapshotCorrupt(f"docs snapshot rejected: {exc}") from exc
         return kind, index
@@ -268,7 +268,7 @@ def parse_array_text(text: str) -> ColorArray:
         raise ParseError(f"expected {n} color ids, found {len(ids)}")
     if len(prio) != sigma:
         raise ParseError(f"expected {sigma} priorities, found {len(prio)}")
-    return new_color_array(ids, {c: p for c, p in enumerate(prio)})
+    return new_color_array(ids, prio)
 
 
 def parse_corpus_text(text: str):

@@ -788,7 +788,7 @@ def test_stats_reads_the_docs_main_core_and_wide_ranks(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["stats", "--snapshot", snap]) == 0
     out = capsys.readouterr().out
-    core = load_index(snap)[1].index.core
+    core = load_index(snap)[1].core
     assert "#stat rank_bits=16\n" in out
     for k in (1, 16, 1024):
         assert f"#stat scan_width_k{k}={core.scan_width(k)}\n" in out

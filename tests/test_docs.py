@@ -201,7 +201,7 @@ def wide_index(seed):
 def test_t_mine_scans_the_range_past_the_main_core_scan_width(monkeypatch,
                                                               core_paths):
     coll, weights, ix = wide_index(41)
-    core = ix.index.core
+    core = ix.core
     calls = []
     topk_ranks = _SparseCore.topk_ranks
 
@@ -362,7 +362,7 @@ def test_narrow_patterns_match_naive(core_paths):
     coll = DocumentCollection([bytes(d) for d in docs])
     weights = {j: int(w) for j, w in enumerate(rng.integers(0, 50, 300))}
     ix = DocumentIndex(coll, weights)
-    core = ix.index._global
+    core = ix.core
     assert 1 << core.levels[1] == 64
     for occ, p in markers.items():
         a, b = ix.pattern_range(p)

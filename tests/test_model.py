@@ -7,13 +7,21 @@ from topkolors import (
     BadParameter,
     ColorNotInSet,
     ColorOutOfRange,
+    DocumentCollection,
+    DocumentIndex,
     EmptyArray,
     InvalidRange,
     MissingPriority,
+    OptimalTopK,
+    RangeHeapMerger,
+    SeparatorInContent,
+    TopKError,
+    merge_ranges_topk,
     new_color_array,
     oracle_distinct_count,
     oracle_topk,
     prank,
+    relevance_weights,
 )
 from topkolors.model import ColorArray, ColorList
 from topkolors.snapshot import KINDS
@@ -69,6 +77,74 @@ def test_validation_errors():
         new_color_array([0, 2], {0: 1, 2: 2})  # id 1 never appears
     with pytest.raises(ColorOutOfRange):
         new_color_array([0, -1], {0: 1})
+
+
+COLL = DocumentCollection(["ab", "ba"])
+INDEX = OptimalTopK(new_color_array(A, P))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: new_color_array([0, 1], None), BadParameter,
+                 r"priority of color 0 is not an integer: NoneType\[0\]",
+                 id="priorities-none"),
+    pytest.param(lambda: new_color_array([0, 1], 5), BadParameter,
+                 r"priority of color 0 is not an integer: int\[0\]",
+                 id="priorities-int"),
+    pytest.param(lambda: new_color_array([0, 1], np.array([5])),
+                 MissingPriority, "color 1 has no priority",
+                 id="priorities-short-array"),
+    pytest.param(lambda: new_color_array([0, 1], (5,)), MissingPriority,
+                 "color 1 has no priority", id="priorities-short-tuple"),
+    pytest.param(lambda: new_color_array([0, 1], [0, 2.5]), BadParameter,
+                 r"priority of color 1 is not an integer: list\[1\]",
+                 id="priorities-float-entry"),
+    pytest.param(lambda: DocumentIndex(COLL, 5), BadParameter,
+                 r"weight of document 0 is not an integer: int\[0\]",
+                 id="weights-int"),
+    pytest.param(lambda: DocumentIndex(COLL, None), BadParameter,
+                 r"weight of document 0 is not an integer: NoneType\[0\]",
+                 id="weights-none"),
+    pytest.param(lambda: DocumentIndex(COLL, [10]), MissingPriority,
+                 "document 1 has no weight", id="weights-short-list"),
+    pytest.param(lambda: prank(0, {0: "a"}), BadParameter,
+                 "colors and priorities must be integers", id="prank-str"),
+    pytest.param(lambda: prank(0, {0: 1.7, 1: 1}), BadParameter,
+                 "colors and priorities must be integers", id="prank-float"),
+    pytest.param(lambda: merge_ranges_topk(INDEX, None, 1), InvalidRange,
+                 r"ranges must be \(a, b\) pairs", id="merge-none"),
+    pytest.param(lambda: merge_ranges_topk(INDEX, [1], 1), InvalidRange,
+                 r"ranges must be \(a, b\) pairs", id="merge-int-range"),
+    pytest.param(lambda: merge_ranges_topk(INDEX, [(1, 2, 3)], 1),
+                 InvalidRange, r"ranges must be \(a, b\) pairs",
+                 id="merge-triple"),
+    pytest.param(lambda: RangeHeapMerger(INDEX, [(1, 2), (4,)]),
+                 InvalidRange, r"ranges must be \(a, b\) pairs",
+                 id="merger-single"),
+    pytest.param(lambda: RangeHeapMerger(INDEX, None), InvalidRange,
+                 r"ranges must be \(a, b\) pairs", id="merger-none"),
+    pytest.param(lambda: relevance_weights(COLL, ""), BadParameter,
+                 "pattern must be non-empty", id="relevance-empty"),
+    pytest.param(lambda: relevance_weights(COLL, "", "mindist"), BadParameter,
+                 "pattern must be non-empty", id="relevance-empty-mindist"),
+    pytest.param(lambda: relevance_weights(COLL, b"a\0"),
+                 SeparatorInContent, "separator", id="relevance-separator"),
+])
+def test_hostile_inputs_raise_topk_errors(call, error, message):
+    assert issubclass(error, TopKError)
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_priority_sequences_are_read_by_index():
+    # a sequence's values are not its color ids: [5, 7] gives color 0
+    # priority 5, where a membership test would find no color 0
+    for prio in (np.array([5, 7]), [5, 7], (5, 7)):
+        arr = new_color_array([1, 0, 1], prio)
+        assert arr.priority_of.tolist() == [5, 7]
+        assert oracle_topk(arr, 1, 3, 2) == [(1, 7), (0, 5)]
+    ix = DocumentIndex(COLL, np.array([20, 10]))
+    assert ix.weights == {0: 20, 1: 10}
+    assert ix.ranked_list("a", 2) == [(0, 20), (1, 10)]
 
 
 def test_query_validation():

@@ -107,3 +107,18 @@ def test_root_sweep_runs_on_one_small_shape():
     assert flat["levels"] == [0, 11] == fitted_levels(n, sigma)
     assert flat["bits"] == round(core.measured_bits() / n, 2)
     assert core._summary is not None
+
+
+def test_cores_builds_every_core_the_sweep_times():
+    # cores() reads each index's core attribute; nothing else runs it
+    # short of a full sweep
+    sweep = load_sweep()
+    cores = dict(sweep.cores(1))
+    assert list(cores) == ["optimal-4k", "sparse-f3-4k", "sigma-65537",
+                           "low-sigma", "docs-main"]
+    for core in cores.values():
+        assert isinstance(core, sparse._SparseCore)
+        sweep.check_library(core)
+    arr = cores["docs-main"]._arr
+    assert arr.sigma == 2001
+    assert cores["docs-main"].levels == fitted_levels(arr.n, arr.sigma)

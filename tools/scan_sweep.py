@@ -52,8 +52,9 @@ than "mid" on any shape's input.
 
 The cores are the benchmark's arrays (N = 2^18 uniform colors, each
 present) at sigma 4 (ChunkedTopK), 4096 (OptimalTopK and SparseTopK(f=3))
-and 2^16 + 1 (OptimalTopK), and the docs workload's main core (sigma
-2001), all from perfbench/workloads.py at --seed.
+and 2^16 + 1 (OptimalTopK), and DocumentIndex's one core over the docs
+workload's corpus ("docs-main", sigma 2001), all from
+perfbench/workloads.py at --seed.
 
     python3 tools/scan_sweep.py --seed 17 --out sweep.json
     python3 tools/scan_sweep.py --levels --seed 17 --out levels.json
@@ -133,7 +134,7 @@ def cores(seed: int):
     yield "sparse-f3-4k", sparse.SparseTopK(arr, f=3).core
     yield "sigma-65537", tk.OptimalTopK(array(seed, (1 << 16) + 1)).core
     yield "low-sigma", tk.ChunkedTopK(array(seed, 4)).core
-    yield "docs-main", workloads.docs(seed).build().index.core
+    yield "docs-main", workloads.docs(seed).build().core
 
 
 def time_cell(core, rng, w, k, starts, paths=PATHS):
