@@ -192,9 +192,12 @@ class DocumentCollection:
     def n(self) -> int:
         return len(self.text)
 
-    def count_occurrences(self, doc_index: int, pattern: bytes) -> int:
-        """Direct-scan occurrence count, used as a test oracle."""
-        return len(_starts(self.docs[doc_index], _as_bytes(pattern)))
+    def count_occurrences(self, doc_index: int, pattern) -> int:
+        """Direct-scan occurrence count, used as a test oracle.  It refuses
+        what occurrence_count refuses: a document index outside the
+        collection and a pattern no query accepts."""
+        doc_index = _document(self, doc_index)
+        return len(_starts(self.docs[doc_index], _check_pattern(pattern)))
 
 
 def _starts(d: bytes, p: bytes) -> list[int]:
@@ -222,6 +225,15 @@ def _integer(name: str, v) -> int:
         return operator.index(v)
     except TypeError:
         raise BadParameter(f"{name} must be an integer, got {v!r}") from None
+
+
+def _document(collection: DocumentCollection, v) -> int:
+    """v as the index of one of the collection's documents, or
+    BadParameter."""
+    v = _integer("document index", v)
+    if not 0 <= v < collection.num_docs:
+        raise BadParameter(f"no document {v}")
+    return v
 
 
 def _positive(name: str, v) -> int:
@@ -286,9 +298,7 @@ class DocumentIndex:
     def occurrence_count(self, doc_index: int, pattern) -> int:
         """Occurrences of pattern in one document: the slots of the
         pattern's suffix range that hold the document's rank."""
-        doc_index = _integer("document index", doc_index)
-        if not 0 <= doc_index < self.collection.num_docs:
-            raise BadParameter(f"no document {doc_index}")
+        doc_index = _document(self.collection, doc_index)
         rng = self.pattern_range(pattern)
         if rng is None:
             return 0
@@ -331,7 +341,7 @@ def naive_ranked_list(collection, weights, pattern, k):
 
 def naive_t_mine(collection, weights, pattern, t, k):
     """Direct-scan reference for t_mine."""
-    p = _as_bytes(pattern)
+    p = _check_pattern(pattern)
     hits = [(j, int(weights[j])) for j in range(collection.num_docs)
             if collection.count_occurrences(j, p) >= t]
     return sorted(hits, key=lambda e: (e[1], e[0]), reverse=True)[:k]

@@ -241,15 +241,28 @@ def oracle_distinct_count(arr: ColorArray, a: int, b: int) -> int:
     return int(len(np.unique(arr.ranks[a - 1 : b])))
 
 
-def prank(c: int, priorities: Mapping[int, int]) -> int:
+def prank(c: int, priorities: Mapping[int, int] | Sequence[int]) -> int:
     """1-based rank of color c inside the given set: the number of colors
     whose effective priority is <= that of c (ties broken by color id).
-    A color or priority that is not an integer is a BadParameter."""
-    if c not in priorities:
-        raise ColorNotInSet(f"color {c} not in set")
+    A mapping is read by key, anything else as read_table reads it: a
+    sequence by index, numpy's too.  A color missing from the set is a
+    ColorNotInSet; a table that is neither, or a color or priority that
+    is not an integer, a BadParameter."""
+    if isinstance(priorities, Mapping):
+        pairs = priorities.items()
+    else:
+        try:
+            count = len(priorities)
+        except TypeError:
+            raise BadParameter("priorities must be a mapping or a sequence, "
+                               f"got {type(priorities).__name__}") from None
+        pairs = enumerate(read_table(priorities, count, "color", "priority"))
     try:
-        key = (operator.index(priorities[c]), operator.index(c))
-        return sum((operator.index(p), operator.index(c2)) <= key
-                   for c2, p in priorities.items())
+        c = operator.index(c)
+        table = {operator.index(c2): operator.index(p) for c2, p in pairs}
     except TypeError:
         raise BadParameter("colors and priorities must be integers") from None
+    if c not in table:
+        raise ColorNotInSet(f"color {c} not in set")
+    key = (table[c], c)
+    return sum((p, c2) <= key for c2, p in table.items())

@@ -18,10 +18,11 @@ scanned positions (7765 positions at k = 1 and 53.8k at k = 1024 there),
 is answered from its own ranks, one slice of the uint16 ranks the
 ColorArray already holds, so that rule stores nothing new: sorted below
 about 1.6k positions, and counted in a sigma-long array read from the top
-above.  A wider range maps the root's top leaves with one searchsorted
-needle each, and, once a batch comes back less than half full, only the
-leaves of the rank groups the summary finds in the range; the leaves found
-are the answer, in rank order.
+above.  A wider range is descended from the root every level set shares:
+it maps the root's top children in batches, on a flat core the leaves
+themselves with one searchsorted needle each, and, once a batch comes back
+less than half full, only the leaves of the rank groups the summary finds
+in the range; the leaves found are the answer, in rank order.
 
 The class adds nothing to SparseTopK but its level set.  It stays a class
 of its own because snapshots record the kind by class, and the benchmark's

@@ -44,12 +44,11 @@ only runs of equal ranks at least t long, and the count keeps only
 entries of at least t.
 
 scan_width(k) is the descent's estimated cost in scanned positions: a
-fixed cost per level step, plus a cost per unit of its work.  Under a
-middle level the units are the leaf needles, at most
-min(sigma, k + 2^leaf fan), since a leaf batch stops within the first node
-whose bound reaches k, plus the root children its first batch maps,
-min(2^levels[1], k + 16).  A flat root maps about one leaf per answer
-past its first batch: min(sigma, k + 16) units.  All four constants are
+fixed cost per level step, plus a cost per unit of its work.  The root
+maps about one child per answer past its first batch, min(2^levels[1],
+k + 16) units, and under a middle level the leaf needles add
+min(sigma, k + 2^leaf fan), since a leaf batch stops within the first
+node whose bound reaches k.  All four constants are
 fitted to a sweep of the three paths' times (tools/scan_sweep.py,
 BENCH_root_summary.json).  The width never falls below the root's fan-out
 and grows with k: at sigma = 4096 and N = 2^18 (levels {0, 12}) it is
@@ -62,22 +61,24 @@ distinct ranks from one scan, and None for any wider range.
 
 Any wider query walks a frontier down the important levels: at most k
 non-empty nodes of one level, highest ranks first, each with its interval.
-The root maps its children in batches from the highest down, the first of
-max(k, 16) and each twice as large as the one before, until k are
-non-empty.  A flat root maps its leaves from sigma - 1 down instead, in a
-first batch of max(k, 16) capped at 64, each next batch sized to the
-leaves still missing over the last batch's share of hits.  Past h = 10,
-once a batch comes back less than half full, it reads the summary: for
-every block of 512 positions, one bit per group of 8 consecutive ranks
-that occurs there, 64 groups to a uint64 word, stored word-major so that
-the OR over a range's whole blocks reads contiguous runs; the ranks of the
-two partial end blocks are read from the array.  The rest of the batches
-then take only the leaves of the groups present, highest first.  At
-sigma = 4096 that is 1 bit per element, and a range that holds only low
-ranks no longer maps thousands of empty leaves.  The summary is built from
-the ranks with the keys, so a snapshot never stores it.  Block, group and
-cap are fitted by the root sweep of tools/scan_sweep.py --levels, on
-uniform, skewed and scattered arrays.
+One root serves every level set: it maps its live children,
+ceil(sigma / 2^(h - levels[1])), leaves on a flat core and nodes under a
+middle level, from the highest down in batches until k are non-empty.
+The first batch holds max(k, 16) children, at most 64 when the core has a
+summary; each next one the children still missing over the last batch's
+share of non-empty ones, plus 16, and at least twice the last one when
+that found none.  A flat core past h = 10 keeps a summary: for every
+block of 512 positions, one bit per group of 8 consecutive ranks that
+occurs there, 64 groups to a uint64 word, stored word-major so that the
+OR over a range's whole blocks reads contiguous runs.  Once a batch comes
+back less than half full, the root ORs it over the range, reads the ranks
+of the two partial end blocks from the array, and from then on maps only
+the leaves of the groups present, highest first, so a range that holds
+only low ranks does not map thousands of empty leaves.  At sigma = 4096
+that is 1 bit per element.  The summary is built with the keys, so a
+snapshot never stores it; block, group and cap are fitted by the root
+sweep of tools/scan_sweep.py --levels on uniform, skewed and scattered
+arrays.
 A lower frontier maps its nodes' children in batches too, each
 the shortest prefix of the columns left whose bound sum(min(size, 2^fan))
 reaches the number of children still missing.  The batch takes every
@@ -114,7 +115,7 @@ from .errors import BadParameter
 from .model import ColorArray, ColorList, check_range
 from .util import ceil_log2, floor_log2, nbits
 
-# children mapped by the root's first batch, at least; later batches double
+# children the root's first batch maps at least, added to each later one
 _FIRST_BATCH = 16
 # elements per block where the build adds positions to keys
 _BLOCK = 1 << 16
@@ -130,7 +131,7 @@ _STRIDE_HEIGHT = 10
 # Both are powers of two.
 _SUMMARY_BLOCK = 512
 _SUMMARY_GROUP = 8
-# the most leaves the flat root's first batch maps
+# the most children the root's first batch maps on a core with a summary
 _FLAT_BATCH = 64
 # The descent's cost in scanned positions: per level step, and per unit of
 # its work (a leaf needle, or a root child mapped).  Fitted to the sweep of
@@ -230,8 +231,8 @@ def fitted_levels(n: int, sigma: int) -> list[int]:
 
 
 class _SparseCore:
-    __slots__ = ("levels", "_arr", "_E", "_off", "_mult", "_summary", "_w1",
-                 "_mask_from", "last_visited")
+    __slots__ = ("levels", "_arr", "_E", "_off", "_mult", "_summary", "_top",
+                 "_w1", "_mask_from", "last_visited")
 
     def __init__(self, arr: ColorArray, levels: list[int]):
         """The core over arr on `levels`: increasing, from 0 to the tree
@@ -298,6 +299,8 @@ class _SparseCore:
         self._E, self._off, self._mult = tuple(keys), tuple(offs), tuple(mults)
         self._summary = (_summary(ranks, arr.sigma)
                          if len(levels) == 2 and height > _STRIDE_HEIGHT else None)
+        # the root's children that hold a rank: ceil(sigma / 2^(h - levels[1]))
+        self._top = -(-arr.sigma >> (height - levels[1])) if len(levels) > 1 else 0
         # scan_width(k) lies in [_w1, _w1 + _K_WIDTH * (k - 1)], so
         # topk_ranks computes it only for a range between the two
         self._w1 = self.scan_width(1)
@@ -318,6 +321,20 @@ class _SparseCore:
         lo, hi = e[base:end].searchsorted(np.array([j + a, j + b + 1], e.dtype))
         return (int(lo) + 1, int(hi)) if lo < hi else (1, 0)
 
+    def _nodes(self, li: int, c, s, wid):
+        """The non-empty ones of the level-(li + 1) nodes c, which lie above
+        the leaves, as (ids, lo, w) arrays: node c[i]'s keys in
+        [s[i], s[i] + wid) give its interval lo < p <= lo + w.  The nodes
+        count in last_visited; s is overwritten."""
+        e = self._E[li]
+        self.last_visited += len(c)
+        L = e.searchsorted(s)
+        s += wid
+        R = e.searchsorted(s)
+        nz = R > L
+        got, L = c[nz], L[nz]
+        return got, L - self._off[li][got], R[nz] - L
+
     def _step(self, li: int, ids, lo, w, k: int):
         """The first k non-empty children of the frontier's level-li nodes
         `ids` (highest first, intervals lo < p <= lo + w), highest first:
@@ -325,59 +342,33 @@ class _SparseCore:
         e, m = self._E[li], self._mult[li]
         fan = self.levels[li + 1] - self.levels[li]
         leaf = li + 2 == len(self.levels)
-        out, found = [], 0
-        if li:
-            # child ids and needles share the keys' dtype
-            ids = ids.astype(e.dtype, copy=False)
-            cols = np.arange((1 << fan) - 1, -1, -1, dtype=e.dtype)
-            bound = np.minimum(w, 1 << fan).cumsum()
-            # the next node, and how many of its columns are mapped
-            i = done = 0
-        else:
-            top, step = 1 << fan, max(k, _FIRST_BATCH)
-        while found < k:
-            if li == 0:
-                # the root, one node: its children in doubling batches
-                if top == 0:
-                    break
-                c = np.arange(top - 1, max(top - step, 0) - 1, -1, dtype=e.dtype)
-                top, step = max(top - step, 0), 2 * step
-                s = c * m
-                s += int(lo[0]) + 1
-                wid = int(w[0])
-            else:
-                # the shortest prefix of the columns left whose bound
-                # reaches k - found: whole nodes up to the last one, and of
-                # that one, when it holds _CUT_DENSITY elements per column,
-                # only the columns still needed, at least _FIRST_BATCH and
-                # twice those mapped before
-                if i == len(ids):
-                    break
-                reach = k - found + (int(bound[i - 1]) if i else 0) + done
-                j = min(int(bound.searchsorted(reach)) + 1, len(ids))
-                end = max(reach - (int(bound[j - 2]) if j > 1 else 0),
-                          _FIRST_BATCH, 2 * done if j - 1 == i else 0)
-                if end > 1 << fan or w[j - 1] < _CUT_DENSITY << fan:
-                    end = 1 << fan
-                cut = slice(done, ((j - 1 - i) << fan) + end)
-                c = ((ids[i:j, None] << fan) + cols).ravel()[cut]
-                s = c * m
-                s += np.repeat(lo[i:j] + 1, 1 << fan)[cut]
-                wid = np.repeat(w[i:j], 1 << fan)[cut]
-                i, done = (j - 1, end) if end < 1 << fan else (j, 0)
-            if leaf:
-                # one needle per leaf
-                got = _hits(e, c, s, wid)
-                out.append(got)
-            else:
-                self.last_visited += len(c)
-                L = e.searchsorted(s)
-                s += wid
-                R = e.searchsorted(s)
-                nz = R > L
-                got, L = c[nz], L[nz]
-                out.append((got, L - self._off[li][got], R[nz] - L))
-            found += len(got)
+        # child ids and needles share the keys' dtype
+        ids = ids.astype(e.dtype, copy=False)
+        cols = np.arange((1 << fan) - 1, -1, -1, dtype=e.dtype)
+        bound = np.minimum(w, 1 << fan).cumsum()
+        # the next node, and how many of its columns are mapped
+        out, found, i, done = [], 0, 0, 0
+        while found < k and i < len(ids):
+            # the shortest prefix of the columns left whose bound reaches
+            # k - found: whole nodes up to the last one, and of that one,
+            # when it holds _CUT_DENSITY elements per column, only the
+            # columns still needed, at least _FIRST_BATCH and twice those
+            # mapped before
+            reach = k - found + (int(bound[i - 1]) if i else 0) + done
+            j = min(int(bound.searchsorted(reach)) + 1, len(ids))
+            end = max(reach - (int(bound[j - 2]) if j > 1 else 0),
+                      _FIRST_BATCH, 2 * done if j - 1 == i else 0)
+            if end > 1 << fan or w[j - 1] < _CUT_DENSITY << fan:
+                end = 1 << fan
+            cut = slice(done, ((j - 1 - i) << fan) + end)
+            c = ((ids[i:j, None] << fan) + cols).ravel()[cut]
+            s = c * m
+            s += np.repeat(lo[i:j] + 1, 1 << fan)[cut]
+            wid = np.repeat(w[i:j], 1 << fan)[cut]
+            i, done = (j - 1, end) if end < 1 << fan else (j, 0)
+            got = _hits(e, c, s, wid) if leaf else self._nodes(li, c, s, wid)
+            out.append(got)
+            found += len(got if leaf else got[0])
         if leaf:
             return out[0][:k] if len(out) == 1 else np.concatenate(out)[:k]
         return tuple(np.concatenate(x)[:k] for x in zip(*out))
@@ -385,11 +376,11 @@ class _SparseCore:
     def scan_width(self, k: int) -> int:
         """Widest range whose top k the scan answers: the descent's
         estimated cost in scanned positions, never below the root's
-        fan-out.  The descent pays per level step, per leaf needle and per
-        root child its first batches map.  Below a middle level, its leaf
-        batches stop at the first node whose bound sum(min(size, 2^fan))
-        reaches k, so they map about k + 2^fan needles; a flat root maps
-        about k + _FIRST_BATCH."""
+        fan-out.  The descent pays per level step and per child mapped:
+        the root maps about k + _FIRST_BATCH children, and below a middle
+        level the leaf batches stop at the first node whose bound
+        sum(min(size, 2^fan)) reaches k, so they map about k + 2^fan
+        needles more."""
         lv = self.levels
         if len(lv) == 1:
             return 0
@@ -450,26 +441,25 @@ class _SparseCore:
     def _descend(self, a: int, b: int, k: int) -> np.ndarray:
         """The top k of [a, b] by walking a frontier down the levels."""
         self.last_visited = 0
-        if len(self.levels) == 2:
-            return self._flat_root(a, b, k)
-        frontier = (np.zeros(1, dtype=np.int64), np.array([a - 1]),
-                    np.array([b - a + 1]))
-        for li in range(len(self.levels) - 1):
+        frontier, li = self._root(a, b, k), 1
+        # levels 1 down to the last with keys, with no range() to build
+        while li < len(self._E):
             frontier = self._step(li, *frontier, k)
+            li += 1
         return frontier
 
-    def _flat_root(self, a: int, b: int, k: int) -> np.ndarray:
-        """The top k of [a, b] on a flat core.  The root maps its leaves
-        from sigma - 1 down in batches, the first of max(k, _FIRST_BATCH)
-        but at most _FLAT_BATCH, each next one of the leaves still missing
-        over the last batch's share of non-empty leaves, plus _FIRST_BATCH.
-        With a summary, once a batch comes back less than half full, the
-        rest are only the leaves of the rank groups that occur in [a, b],
-        highest first."""
-        e, m = self._E[0], self._mult[0]
+    def _root(self, a: int, b: int, k: int):
+        """The first k non-empty children of the root over [a, b], highest
+        first, as _step gives them: leaves on a flat core, else nodes.  It
+        maps its live children from the top down in the batches the module
+        docstring sets out; with a summary, once a batch comes back less
+        than half full, only the leaves of the rank groups in [a, b]."""
+        e, m, top = self._E[0], self._mult[0], self._top
+        leaf, summary = len(self.levels) == 2, self._summary is not None
+        step = max(k, _FIRST_BATCH)
+        if summary and step > _FLAT_BATCH:
+            step = _FLAT_BATCH
         w = b - a + 1
-        top = self._arr.sigma
-        step = min(max(k, _FIRST_BATCH), _FLAT_BATCH)
         out, found, groups = [], 0, None
         while found < k:
             if groups is None:
@@ -486,15 +476,23 @@ class _SparseCore:
                 c = (g[:, None] * _SUMMARY_GROUP
                      + np.arange(_SUMMARY_GROUP - 1, -1, -1)).ravel()
                 c = c[c < top].astype(e.dtype)
-            got = _hits(e, c, c * m + a, w)
+            s = c * m + a
+            got = _hits(e, c, s, w) if leaf else self._nodes(0, c, s, w)
             out.append(got)
-            found += len(got)
-            if (groups is None and 2 * len(got) < len(c) and top
-                    and self._summary is not None):
-                groups, j = self._present(a, b, top), 0
-            # the leaves still missing over the last batch's share of hits
-            step = (k - found) * len(c) // max(len(got), 1) + _FIRST_BATCH
-        return out[0][:k] if len(out) == 1 else np.concatenate(out)[:k]
+            hit = len(got if leaf else got[0])
+            found += hit
+            # the children still missing over the last batch's share of hits
+            step = (k - found) * len(c) // max(hit, 1) + _FIRST_BATCH
+            if groups is None and 2 * hit < len(c):
+                # under half full: the summary takes over, or else a batch
+                # with no hits is followed by one at least twice as large
+                if summary and top:
+                    groups, j = self._present(a, b, top), 0
+                elif not hit:
+                    step = max(step, 2 * len(c))
+        if leaf:
+            return out[0][:k] if len(out) == 1 else np.concatenate(out)[:k]
+        return tuple(np.concatenate(x)[:k] for x in zip(*out))
 
     def _present(self, a: int, b: int, top: int) -> np.ndarray:
         """The rank groups that occur in [a, b] and hold a leaf below top,

@@ -23,6 +23,7 @@ from topkolors import (
     prank,
     relevance_weights,
 )
+from topkolors.docs import naive_t_mine
 from topkolors.model import ColorArray, ColorList
 from topkolors.snapshot import KINDS
 
@@ -110,6 +111,36 @@ INDEX = OptimalTopK(new_color_array(A, P))
                  "colors and priorities must be integers", id="prank-str"),
     pytest.param(lambda: prank(0, {0: 1.7, 1: 1}), BadParameter,
                  "colors and priorities must be integers", id="prank-float"),
+    pytest.param(lambda: prank(2, [5, 7]), ColorNotInSet,
+                 "color 2 not in set", id="prank-past-sequence"),
+    pytest.param(lambda: prank(-1, (5, 7)), ColorNotInSet,
+                 "color -1 not in set", id="prank-negative-color"),
+    pytest.param(lambda: prank(0, [5, 2.5]), BadParameter,
+                 r"priority of color 1 is not an integer: list\[1\]",
+                 id="prank-float-entry"),
+    pytest.param(lambda: prank(0, {5, 7}), BadParameter,
+                 r"priority of color 0 is not an integer: set\[0\]",
+                 id="prank-set"),
+    pytest.param(lambda: prank(0, 5), BadParameter,
+                 "priorities must be a mapping or a sequence, got int",
+                 id="prank-int"),
+    pytest.param(lambda: prank(0, None), BadParameter,
+                 "priorities must be a mapping or a sequence, got NoneType",
+                 id="prank-none"),
+    pytest.param(lambda: prank("a", {0: 1}), BadParameter,
+                 "colors and priorities must be integers", id="prank-str-color"),
+    pytest.param(lambda: COLL.count_occurrences(5, "a"), BadParameter,
+                 "no document 5", id="count-past-documents"),
+    pytest.param(lambda: COLL.count_occurrences(-1, "a"), BadParameter,
+                 "no document -1", id="count-negative-document"),
+    pytest.param(lambda: COLL.count_occurrences(1.0, "a"), BadParameter,
+                 "document index must be an integer", id="count-float-document"),
+    pytest.param(lambda: COLL.count_occurrences(0, ""), BadParameter,
+                 "pattern must be non-empty", id="count-empty-pattern"),
+    pytest.param(lambda: COLL.count_occurrences(0, b"a\0"),
+                 SeparatorInContent, "separator", id="count-separator"),
+    pytest.param(lambda: naive_t_mine(COLL, [1, 2], "", 1, 2), BadParameter,
+                 "pattern must be non-empty", id="naive-tmine-empty"),
     pytest.param(lambda: merge_ranges_topk(INDEX, None, 1), InvalidRange,
                  r"ranges must be \(a, b\) pairs", id="merge-none"),
     pytest.param(lambda: merge_ranges_topk(INDEX, [1], 1), InvalidRange,
@@ -142,9 +173,15 @@ def test_priority_sequences_are_read_by_index():
         arr = new_color_array([1, 0, 1], prio)
         assert arr.priority_of.tolist() == [5, 7]
         assert oracle_topk(arr, 1, 3, 2) == [(1, 7), (0, 5)]
+        # prank reads the same table by index: color 0 holds 5, color 1 7
+        assert [prank(c, prio) for c in (0, 1, np.int64(1))] == [1, 2, 2]
+    assert prank(1, {0: 5, 1: 7}) == prank(1, np.array([[5, 7]])[0]) == 2
     ix = DocumentIndex(COLL, np.array([20, 10]))
     assert ix.weights == {0: 20, 1: 10}
     assert ix.ranked_list("a", 2) == [(0, 20), (1, 10)]
+    # the scan oracle counts a numpy document index like an int
+    assert [COLL.count_occurrences(np.int64(j), "a") for j in (0, 1)] == [1, 1]
+    assert naive_t_mine(COLL, [20, 10], "a", 1, 2) == [(0, 20), (1, 10)]
 
 
 def test_query_validation():

@@ -68,15 +68,19 @@ def test_level_sweep_runs_on_one_small_shape():
     assert shape["pick"] in sets
     names = list(sets)
     assert shape["columns"] == ["width", "k", "scan_us", *names]
-    # the skewed input's ranges lie in its first half
+    # the skewed and scattered inputs' ranges lie in their first half
     widths = sweep.level_widths(n)
-    for key, span in (("uniform", n), ("skewed", n // 2)):
+    assert sweep.ROOT_INPUTS == ("uniform", "skewed", "scattered")
+    for key, span in (("uniform", n), ("skewed", n // 2), ("scattered", n // 2)):
         cells = [(w, k) for w in widths if w <= span for k in sweep.LEVEL_KS]
         assert [tuple(r[:2]) for r in shape[key]] == cells
         for name in names:
             assert sets[name][f"{key}_worst_ratio"] > 0
+    # a level set's bits are the largest over the inputs
     for name in names:
-        assert sets[name]["bits"] > 0
+        by_input = sets[name]["input_bits"]
+        assert set(by_input) == set(sweep.ROOT_INPUTS)
+        assert sets[name]["bits"] == max(by_input.values()) > 0
 
 
 def test_root_sweep_runs_on_one_small_shape():

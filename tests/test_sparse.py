@@ -616,16 +616,45 @@ def test_build_matches_a_stable_argsort_build():
                 assert o.dtype == np.int32
 
 
-def low_prefix_array(rng, n, sigma, low):
+def low_prefix_array(rng, n, sigma, low, scattered=False):
     """n colors over sigma, each present after the first half; the first
-    half holds only the colors of the `low` lowest ranks."""
+    half holds only the colors of the `low` lowest ranks, or, scattered, of
+    `low` ranks drawn at random."""
     prio = rng.permutation(sigma).astype(np.int64)
     colors = rng.integers(0, sigma, size=n)
-    lows = np.flatnonzero(prio < low)
+    lows = (rng.choice(sigma, size=low, replace=False) if scattered
+            else np.flatnonzero(prio < low))
     colors[: n // 2] = lows[rng.integers(0, low, size=n // 2)]
     colors[n // 2 + rng.choice(n - n // 2, size=sigma, replace=False)] = (
         np.arange(sigma))
     return ColorArray(colors.astype(np.int32), prio)
+
+
+@pytest.mark.parametrize("scattered", [False, True])
+@pytest.mark.parametrize("sigma, levels", [(1024, [0, 8, 10]), (256, [0, 8])])
+def test_roots_without_a_summary_match_oracle(sigma, levels, scattered):
+    # the shapes of the level sweep's skewed and scattered arrays, whose
+    # first half holds sigma / 64 ranks: there a middle-level root and a
+    # flat root with no summary find their top children empty
+    rng = np.random.default_rng(sigma + scattered)
+    n = 1 << 16
+    arr = low_prefix_array(rng, n, sigma, sigma // 64, scattered)
+    core = OptimalTopK(arr).core
+    assert core.levels == levels and core._summary is None
+    # every node on the levels below the root and above the leaves
+    nodes = sum(1 << d for d in levels[1:-1])
+    # whole, and reaching a few positions into the second half, whose
+    # ranks spread each root batch's hits thin
+    ranges = [(1, n), (n // 2 - 5000, n // 2 + 3000), (n // 2 - 9000, n // 2 + 30),
+              (n // 2 - 20000, n // 2 + 100)]
+    for w in (1024, 4096, 16384, n // 2):
+        for a in rng.integers(1, n // 2 - w + 2, size=2).tolist():
+            ranges.append((a, a + w - 1))
+    for a, b in ranges:
+        for k in (1, 16, 1024):
+            got = arr.list_from_ranks(core._descend(a, b, k))
+            assert got == oracle_topk(arr, a, b, k), (a, b, k)
+            assert core.last_visited <= nodes, (a, b, k)
 
 
 @pytest.mark.parametrize("sigma", [2001, 2049])

@@ -27,19 +27,23 @@ Each core's time lost is then reported under the library's rule ("current"),
 read from the core.
 
 A third sweep, --levels, compares level sets.  For every sigma in
-LEVEL_SIGMAS and N in LEVEL_NS it builds a uniform array and a skewed one,
-whose first half holds only the max(1, sigma / 64) lowest-ranked colors,
-and a _SparseCore on each candidate level set: SparseTopK(f=2)'s stride
-rule ("stride"), the flat {0, h} (with its rank-group summary past
-h = 10, whose bits count) and {0, m, h} for every m from h/3 to 2h/3,
-where h = ceil(log2 sigma).  Each cell (input, width, K) times every
-level set's descent on the same random starts (inside the skewed half on
-the skewed input) and the library's scan once; a level set's cost in a
-cell is the cheaper of its descent and the scan.  Per shape, the pick is
-the level set of least summed cost whose bits per element are no more
-than the stride rule's (plus 1 %) and whose cost on no cell, uniform or
-skewed, exceeds the stride rule's by more than LEVEL_NOISE; the report
-says whether fitted_levels(n, sigma) is that pick or how much slower it is.
+LEVEL_SIGMAS and N in LEVEL_NS it builds an array of each of ROOT_INPUTS:
+a uniform one, a skewed one, whose first half holds only the
+max(1, sigma / 64) lowest-ranked colors, and a scattered one, whose first
+half holds as many colors of ranks drawn at random.  On each it builds a
+_SparseCore on every candidate level set: SparseTopK(f=2)'s stride rule
+("stride"), the flat {0, h} (with its rank-group summary past h = 10,
+whose bits count) and {0, m, h} for every m from h/3 to 2h/3, where
+h = ceil(log2 sigma).  A level set's bits are the largest over the three
+inputs, since a node that holds half the array can widen its level's
+keys to int64.  Each cell (input, width, K) times every level set's
+descent on the same random starts (inside the first half on the skewed
+and scattered inputs) and the library's scan once; a level set's cost in
+a cell is the cheaper of its descent and the scan.  Per shape, the pick
+is the level set of least summed cost whose bits per element are no more
+than the stride rule's (plus 1 %) and whose cost on no cell of any input
+exceeds the stride rule's by more than LEVEL_NOISE; the report says
+whether fitted_levels(n, sigma) is that pick or how much slower it is.
 
 Before the level sweep, --levels runs the flat root's sweep: at every
 (N, sigma) in ROOT_SHAPES, on a uniform, a skewed and a scattered array
@@ -378,7 +382,7 @@ def time_levels(arr, cores: dict, rng, w, ks, starts, span):
 
 def level_cells(arr, cores, rng, starts, skewed: bool) -> list:
     """One row per (width, K): the scan's and every level set's descent
-    microseconds."""
+    microseconds, inside the first half on a skewed or scattered input."""
     n = arr.n
     span = n // 2 if skewed else n
     rows = []
@@ -393,32 +397,36 @@ def level_cells(arr, cores, rng, starts, skewed: bool) -> list:
 
 
 def level_report(sets: dict, bits: dict, rows: dict, fitted: list) -> dict:
-    """Per level set: bits, and on each input its summed cost (the cheaper
-    of its descent and the scan per cell) and its worst cell against the
-    stride rule's; then the pick and how fitted_levels fares against it."""
+    """Per level set: its bits on each input and the largest of them
+    ("bits"), and on each input its summed cost (the cheaper of its descent
+    and the scan per cell) and its worst cell against the stride rule's;
+    then the pick and how fitted_levels fares against it."""
     def cost(r, name):
         return min(r[name], r["scan_us"])
 
     out = {}
     for name in sets:
-        out[name] = {"levels": sets[name], "bits": bits[name]}
-        for key in ("uniform", "skewed"):
+        out[name] = {"levels": sets[name],
+                     "bits": max(b[name] for b in bits.values()),
+                     "input_bits": {key: b[name] for key, b in bits.items()}}
+        for key in ROOT_INPUTS:
             us = sum(cost(r, name) for r in rows[key])
             out[name][f"{key}_us"] = round(us, 1)
             worst = max(cost(r, name) / cost(r, "stride") for r in rows[key])
             out[name][f"{key}_worst_ratio"] = round(worst, 3)
     ok = [name for name, o in out.items()
           if o["bits"] <= 1.01 * out["stride"]["bits"]
-          and o["uniform_worst_ratio"] <= 1 + LEVEL_NOISE
-          and o["skewed_worst_ratio"] <= 1 + LEVEL_NOISE]
-    pick = min(ok, key=lambda name: out[name]["uniform_us"]
-               + out[name]["skewed_us"])
+          and all(o[f"{key}_worst_ratio"] <= 1 + LEVEL_NOISE
+                  for key in ROOT_INPUTS)]
+
+    def total(name):
+        return sum(out[name][f"{key}_us"] for key in ROOT_INPUTS)
+
+    pick = min(ok, key=total)
     fitted = next(name for name in sets if sets[name] == fitted)
-    total = {name: out[name]["uniform_us"] + out[name]["skewed_us"]
-             for name in (pick, fitted, "stride")}
     return {"sets": out, "pick": pick, "fitted": fitted,
-            "fitted_over_pick": round(total[fitted] / total[pick], 3),
-            "fitted_over_stride": round(total[fitted] / total["stride"], 3)}
+            "fitted_over_pick": round(total(fitted) / total(pick), 3),
+            "fitted_over_stride": round(total(fitted) / total("stride"), 3)}
 
 
 def level_sweep(seed: int, starts: int, sigmas=LEVEL_SIGMAS,
@@ -432,24 +440,27 @@ def level_sweep(seed: int, starts: int, sigmas=LEVEL_SIGMAS,
             fitted = sparse.fitted_levels(n, sigma)
             if fitted not in sets.values():
                 sets["fitted"] = fitted
-            rows = {}
-            for skewed in (False, True):
-                make = skewed_array if skewed else uniform_array
-                arr = make(rng, n, sigma)
+            rows, bits = {}, {}
+            for key in ROOT_INPUTS:
+                if key == "uniform":
+                    arr = uniform_array(rng, n, sigma)
+                else:
+                    arr = skewed_array(rng, n, sigma, key == "scattered")
                 cores = {name: sparse._SparseCore(arr, lv)
                          for name, lv in sets.items()}
-                if not skewed:
-                    bits = {name: round(core.measured_bits() / n, 2)
-                            for name, core in cores.items()}
-                key = "skewed" if skewed else "uniform"
-                rows[key] = level_cells(arr, cores, rng, starts, skewed)
+                # the keys' width follows the input: a node holding half
+                # the array can push a level's keys to int64
+                bits[key] = {name: round(core.measured_bits() / n, 2)
+                             for name, core in cores.items()}
+                rows[key] = level_cells(arr, cores, rng, starts,
+                                        key != "uniform")
                 del cores, arr
             report = level_report(sets, bits, rows, fitted)
             result[f"n{n.bit_length() - 1}-s{sigma}"] = {
                 "n": n, "sigma": sigma, **report,
                 "columns": list(rows["uniform"][0]),
-                "uniform": [list(r.values()) for r in rows["uniform"]],
-                "skewed": [list(r.values()) for r in rows["skewed"]],
+                **{key: [list(r.values()) for r in rows[key]]
+                   for key in ROOT_INPUTS},
             }
     return result
 
@@ -612,7 +623,8 @@ def main(argv=None) -> int:
         for name, c in shapes.items():
             print(name, c["pick"], c["fitted"], c["fitted_over_pick"],
                   c["fitted_over_stride"],
-                  {s: o["skewed_worst_ratio"] for s, o in c["sets"].items()})
+                  {s: max(o[f"{key}_worst_ratio"] for key in ROOT_INPUTS)
+                   for s, o in c["sets"].items()})
         return 0
     kernels, swept = sweep(args.seed, args.starts)
     kernel_fit = fit_kernels(kernels)
