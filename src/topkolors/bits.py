@@ -22,10 +22,9 @@ class RankSelectBits:
         nwords = (self.n + 63) // 64 if self.n else 1
         padded = np.zeros(nwords * 64, dtype=np.uint8)
         padded[: self.n] = bits
-        shifts = np.arange(64, dtype=np.uint64)
-        self._words = (padded.reshape(nwords, 64).astype(np.uint64) << shifts).sum(
-            axis=1, dtype=np.uint64
-        )
+        # bit i of the array is bit i % 64 of word i // 64: little-endian
+        # bit order within bytes, and little-endian bytes within words
+        self._words = np.packbits(padded, bitorder="little").view("<u8")
         counts = popcount_u64(self._words)
         self._prefix = np.zeros(nwords + 1, dtype=np.int64)
         np.cumsum(counts, out=self._prefix[1:])

@@ -9,13 +9,17 @@ the same scan counted: O(r - l) work in a single numpy pass, which beats a
 logarithmic structure over pred at the range widths the indexes ask for.
 
 Ranges here are 0-based half-open, [l, r): ColorReporter.positions returns
-the witness positions and ColorCounter.count_range their number.
+the witness positions as an intp array, and ColorCounter.count_range their
+number.  A count capped at c reads a prefix of the range first and stops
+there once the prefix holds more than c distinct values, so a caller that
+only needs to know whether a count exceeds c reads less of a wide range.
 
 The witness rule holds for any range of the array, so when an array is the
-concatenation of independent segments (WaveletTopK's per-level node
-arrays), one pred over the whole array, handed to both structures, serves
-every segment: a query for segment range [l, r) with threshold l is correct
-with global indices, wherever the previous occurrence lies.
+concatenation of independent segments (each level of WaveletTopK's wavelet
+matrix, where every node is one contiguous interval), one pred over the
+whole array, handed to both structures, serves every segment: a query for
+segment range [l, r) with threshold l is correct with global indices,
+wherever the previous occurrence lies.
 
 ArgminSegtree is the logarithmic alternative over pred, kept as a
 standalone structure.  make_pred, ColorCounter and ColorReporter serve only
@@ -148,9 +152,9 @@ class ColorReporter:
         self.values = np.asarray(values)
         self.pred = make_pred(self.values) if pred is None else np.asarray(pred)
 
-    def positions(self, l: int, r: int) -> list[int]:
-        """Ascending witness positions in [l, r)."""
-        return (np.flatnonzero(self.pred[l:r] < l) + l).tolist()
+    def positions(self, l: int, r: int) -> np.ndarray:
+        """Ascending witness positions in [l, r), an intp array."""
+        return np.flatnonzero(self.pred[l:r] < l) + l
 
     def measured_bits(self) -> int:
         return nbits(self.values, self.pred)
@@ -164,6 +168,20 @@ class ColorCounter:
     def __init__(self, values, pred=None):
         self.pred = make_pred(values) if pred is None else np.asarray(pred)
 
-    def count_range(self, l: int, r: int) -> int:
-        """Distinct values in [l, r), 0-based half-open."""
-        return int(np.count_nonzero(self.pred[l:r] < l))
+    def count_range(self, l: int, r: int, cap=None) -> int:
+        """Distinct values in [l, r), 0-based half-open.
+
+        With a cap, the count is exact when it is at most cap, and otherwise
+        some value above cap and at most the exact one: a prefix of
+        4 * cap + 64 positions is counted first, and the rest of the range
+        is read only when that prefix holds at most cap distinct values.
+        """
+        pred = self.pred
+        if cap is not None:
+            mid = l + 4 * cap + 64
+            if mid < r:
+                m = int(np.count_nonzero(pred[l:mid] < l))
+                if m > cap:
+                    return m
+                return m + int(np.count_nonzero(pred[mid:r] < l))
+        return int(np.count_nonzero(pred[l:r] < l))

@@ -42,3 +42,22 @@ def test_word_boundaries():
         for i in (n - 1, 63, 64, 65):
             if i <= n:
                 assert bv.rank1(i) == sum(bits[:i])
+
+
+def reference_words(bits):
+    """Bit i at bit i % 64 of word i // 64, by a shift-sum per word."""
+    n = len(bits)
+    nwords = (n + 63) // 64 if n else 1
+    padded = np.zeros(nwords * 64, dtype=np.uint64)
+    padded[:n] = bits
+    shifts = np.arange(64, dtype=np.uint64)
+    return (padded.reshape(nwords, 64) << shifts).sum(axis=1, dtype=np.uint64)
+
+
+@pytest.mark.parametrize("n", [0, 1, 64, 100, 129, 1000])
+def test_words_match_reference_packing(n):
+    bits = np.random.default_rng(n).integers(0, 2, size=n)
+    bv = RankSelectBits(bits)
+    want = reference_words(bits)
+    assert bv._words.tolist() == want.tolist()
+    assert bv.rank1(n) == int(bits.sum())

@@ -41,7 +41,7 @@ def test_witness_property():
         for b in range(a, 9):
             pos = rep.positions(a - 1, b)
             assert all(rep.pred[i] < a - 1 for i in pos)
-            assert pos == sorted(pos)
+            assert pos.tolist() == sorted(pos.tolist())
 
 
 def test_argmin_leftmost_ties():
@@ -78,6 +78,36 @@ def test_against_scans(vals, data):
     pos = rep.positions(a - 1, b)
     assert sorted(rep.values[pos].tolist()) == sorted(want)
     assert cnt.count_range(a - 1, b) == len(want)
+
+
+@pytest.mark.parametrize("longer", [False, True])
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_capped_count(longer, data):
+    # exact up to cap; above it, any value in (cap, exact].  A longer range
+    # runs past the 4 * cap + 64 positions counted first
+    cap = data.draw(st.integers(0, 24))
+    probe = 4 * cap + 64
+    width = data.draw(st.integers(probe + 1, probe + 200) if longer
+                      else st.integers(1, probe))
+    n = width + data.draw(st.integers(0, 40))
+    l = data.draw(st.integers(0, n - width))
+    r = l + width
+    # the probe and the rest draw from separate alphabets, so the probe
+    # often holds cap colors or one either side of it, and the rest more
+    head = data.draw(st.integers(1, cap + 2))
+    tail = data.draw(st.integers(1, 3 * cap + 3))
+    shift = data.draw(st.integers(0, tail))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    vals = rng.integers(0, tail, size=n) + shift
+    vals[l : l + probe] = rng.integers(0, head, size=len(vals[l : l + probe]))
+    exact = len(set(vals[l:r].tolist()))
+    got = ColorCounter(vals).count_range(l, r, cap)
+    if exact <= cap:
+        assert got == exact
+    else:
+        assert cap < got <= exact
+    assert ColorCounter(vals).count_range(l, r) == exact
 
 
 def test_reporter_shared_across_segments():
