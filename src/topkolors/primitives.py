@@ -175,6 +175,8 @@ class ColorCounter:
         some value above cap and at most the exact one: a prefix of
         4 * cap + 64 positions is counted first, and the rest of the range
         is read only when that prefix holds at most cap distinct values.
+        Spread evenly, 2 * cap values show about 1.73 * cap of themselves
+        in 4 * cap positions, and 64 more cost little beside a numpy call.
         """
         pred = self.pred
         if cap is not None:

@@ -127,4 +127,6 @@ class WaveletTopK:
         total = sum(bv.measured_bits() for bv in self._bits)
         # each level's counter shares its reporter's pred array
         total += sum(r.measured_bits() for r in self._reporters.values())
+        # Z_d, one 64-bit count per level
+        total += 64 * len(self._zeros)
         return total
